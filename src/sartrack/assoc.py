@@ -9,15 +9,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import BBox, Detection, TrajectorySet
+from .core import BBox, Detection, TrajectorySet, iou
 from .motion import Affine2x3, KalmanState, apply_cmc, kf_init, kf_predict, kf_update
 
 # Large finite cost marking forbidden pairs (cross-class); always above any
 # match threshold, kept finite so the assignment solver stays feasible.
 FORBIDDEN_COST = 1e6
 
-_FLOAT_KEYS = {"tau_high", "tau_low", "match_thresh_stage1", "match_thresh_stage2",
-               "lambda_app", "tau_v", "ema_alpha", "v_ema_alpha"}
 _INT_KEYS = {"n_init", "max_age"}
 
 
@@ -42,6 +40,10 @@ class TrackerConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0,1], got {v}")
+        if self.n_init < 1:
+            raise ValueError(f"n_init must be >= 1, got {self.n_init}")
+        if self.max_age < 0:
+            raise ValueError(f"max_age must be >= 0, got {self.max_age}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrackerConfig":
@@ -119,21 +121,7 @@ def hungarian(cost, max_cost: float) -> AssociationResult:
 
 
 def iou_cost(track_boxes: list[BBox], det_boxes: list[BBox]) -> np.ndarray:
-    if not track_boxes or not det_boxes:
-        return np.ones((len(track_boxes), len(det_boxes)))
-    t = np.array([(b.x, b.y, b.x + b.w, b.y + b.h) for b in track_boxes])
-    d = np.array([(b.x, b.y, b.x + b.w, b.y + b.h) for b in det_boxes])
-    iw = (np.minimum(t[:, None, 2], d[None, :, 2])
-          - np.maximum(t[:, None, 0], d[None, :, 0])).clip(min=0.0)
-    ih = (np.minimum(t[:, None, 3], d[None, :, 3])
-          - np.maximum(t[:, None, 1], d[None, :, 1])).clip(min=0.0)
-    inter = iw * ih
-    area_t = (t[:, 2] - t[:, 0]) * (t[:, 3] - t[:, 1])
-    area_d = (d[:, 2] - d[:, 0]) * (d[:, 3] - d[:, 1])
-    union = area_t[:, None] + area_d[None, :] - inter
-    with np.errstate(invalid="ignore"):
-        ious = np.where(union > 0.0, inter / union, 0.0)
-    return 1.0 - ious
+    return 1.0 - iou(track_boxes, det_boxes)
 
 
 def appearance_cost(tracks: list[Track], dets: list[Detection]) -> np.ndarray:
@@ -167,12 +155,9 @@ def maa_fuse(iou_c: np.ndarray, app_c: np.ndarray, v_track, v_det,
 
 
 def _class_mask(cost: np.ndarray, tracks: list[Track], dets: list[Detection]) -> np.ndarray:
-    out = cost.copy()
-    for i, t in enumerate(tracks):
-        for j, d in enumerate(dets):
-            if t.class_id != d.class_id:
-                out[i, j] = FORBIDDEN_COST
-    return out
+    t_cls = np.array([t.class_id for t in tracks])
+    d_cls = np.array([d.class_id for d in dets])
+    return np.where(t_cls[:, None] != d_cls[None, :], FORBIDDEN_COST, cost)
 
 
 class Tracker:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -81,6 +82,11 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     conf = sio.parse_config(_require_file(args.config))
+    known = {f.name for cls in (synthsim.ScenarioConfig, synthsim.PerturbConfig)
+             for f in fields(cls)}
+    unknown = sorted(set(conf) - known)
+    if unknown:
+        raise DataError(f"{args.config}: unknown config keys: {unknown}")
     scn = synthsim.ScenarioConfig.from_dict(conf)
     pert = synthsim.PerturbConfig.from_dict(conf)
     scene = synthsim.generate_scene(scn)

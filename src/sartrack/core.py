@@ -5,8 +5,7 @@ downward (MOTChallenge convention). Frame indices are 1-based.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,14 +47,17 @@ class BBox:
         return cls(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection-over-union of two boxes, in [0, 1]."""
-    ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
-    iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
-    if ix <= 0 or iy <= 0:
-        return 0.0
+def iou(boxes_a, boxes_b) -> np.ndarray:
+    """Pairwise intersection-over-union of two box lists, shape
+    (len(boxes_a), len(boxes_b)), in [0, 1]."""
+    a, b = (np.array([(r.x, r.y, r.w, r.h) for r in boxes], dtype=float).reshape(-1, 4)
+            for boxes in (boxes_a, boxes_b))
+    ix = (np.minimum((a[:, 0] + a[:, 2])[:, None], (b[:, 0] + b[:, 2])[None, :])
+          - np.maximum(a[:, None, 0], b[None, :, 0])).clip(min=0.0)
+    iy = (np.minimum((a[:, 1] + a[:, 3])[:, None], (b[:, 1] + b[:, 3])[None, :])
+          - np.maximum(a[:, None, 1], b[None, :, 1])).clip(min=0.0)
     inter = ix * iy
-    return inter / (a.area() + b.area() - inter)
+    return inter / ((a[:, 2] * a[:, 3])[:, None] + (b[:, 2] * b[:, 3])[None, :] - inter)
 
 
 @dataclass(frozen=True)

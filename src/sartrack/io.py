@@ -214,7 +214,10 @@ def read_tensor(path) -> np.ndarray:
         magic = fh.read(4)
         if magic != TENSOR_MAGIC:
             raise ValueError(f"{path}: bad tensor magic {magic!r}")
-        h, w, c = struct.unpack("<III", fh.read(12))
+        header = fh.read(12)
+        if len(header) < 12:
+            raise ValueError(f"{path}: truncated tensor header")
+        h, w, c = struct.unpack("<III", header)
         data = np.frombuffer(fh.read(8 * h * w * c), dtype="<f8")
     if data.size != h * w * c:
         raise ValueError(f"{path}: truncated tensor payload")

@@ -235,5 +235,9 @@ def test_tracker_config_validation():
         TrackerConfig(tau_low=0.7, tau_high=0.6)
     with pytest.raises(ValueError):
         TrackerConfig.from_dict({"bogus_key": "1"})
+    for bad in ({"n_init": 0}, {"n_init": -1}, {"max_age": -1}, {"max_age": -5}):
+        with pytest.raises(ValueError):
+            TrackerConfig(**bad)
+    assert TrackerConfig(n_init=1, max_age=0).max_age == 0
     cfg = TrackerConfig.from_dict({"tau_high": "0.7", "n_init": "3"})
     assert cfg.tau_high == 0.7 and cfg.n_init == 3

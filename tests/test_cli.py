@@ -176,6 +176,16 @@ def test_synth_track_eval_pipeline(capsys, scenario_dir, tmp_path):
     assert float(row["MOTA"]) <= 1.0
 
 
+def test_synth_unknown_config_key_is_data_error(capsys, tmp_path):
+    cfg = tmp_path / "scenario.txt"
+    cfg.write_text("seed = 5\nframes = 8\nn_movign = 40\n")
+    out = tmp_path / "scene"
+    code, _, err = run(capsys, "synth", "--config", str(cfg), "--out-dir", str(out))
+    assert code == 2
+    assert str(cfg) in err and "n_movign" in err
+    assert not out.exists()
+
+
 def test_lineops_on_pgm(capsys, tmp_path):
     img = np.zeros((16, 16), dtype=np.uint8)
     img[8, :] = 255
@@ -201,6 +211,14 @@ def test_lineops_on_tensor(capsys, tmp_path):
                      "--theta", "90", "--rho", "24", "--tau", "0.0")
     assert code == 0
     assert read_tensor(out / "a_soft.vsfm").shape == (12, 12, 2)
+
+
+def test_lineops_truncated_tensor_header_is_data_error(capsys, tmp_path):
+    src = tmp_path / "short.vsfm"
+    src.write_bytes(b"VSFM\x01\x00")
+    code, _, err = run(capsys, "lineops", "--in", str(src), "--out", str(tmp_path / "lo"))
+    assert code == 2
+    assert f"{src}: truncated tensor header" in err
 
 
 def test_lfa_demo(capsys, tmp_path):

@@ -1,21 +1,26 @@
 import numpy as np
 import pytest
 
+from metrics_reference import iou as scalar_iou
 from sartrack.core import BBox, Detection, FrameWindow, TrajectorySet, iou
+
+
+def iou1(a, b):
+    return iou([a], [b])[0, 0]
 
 
 def test_iou_identical():
     b = BBox(3, 4, 5, 6)
-    assert iou(b, b) == 1.0
+    assert iou1(b, b) == 1.0
 
 
 def test_iou_disjoint():
-    assert iou(BBox(0, 0, 1, 1), BBox(5, 5, 1, 1)) == 0.0
+    assert iou1(BBox(0, 0, 1, 1), BBox(5, 5, 1, 1)) == 0.0
 
 
 def test_iou_hand_case():
     # inter = 1x2 = 2, union = 4 + 4 - 2 = 6
-    assert iou(BBox(0, 0, 2, 2), BBox(1, 0, 2, 2)) == pytest.approx(1 / 3)
+    assert iou1(BBox(0, 0, 2, 2), BBox(1, 0, 2, 2)) == pytest.approx(1 / 3)
 
 
 def test_iou_symmetric_and_bounded():
@@ -23,9 +28,22 @@ def test_iou_symmetric_and_bounded():
     for _ in range(200):
         a = BBox(*rng.uniform(0, 50, 2), *rng.uniform(1, 30, 2))
         b = BBox(*rng.uniform(0, 50, 2), *rng.uniform(1, 30, 2))
-        v = iou(a, b)
-        assert v == iou(b, a)
+        v = iou1(a, b)
+        assert v == iou1(b, a)
         assert 0.0 <= v <= 1.0
+
+
+def test_iou_matrix_equals_scalar_formula_bitwise():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n, m = rng.integers(0, 6, 2)
+        a = [BBox(*rng.uniform(0, 30, 2), *rng.uniform(0.5, 20, 2)) for _ in range(n)]
+        b = [BBox(*rng.uniform(0, 30, 2), *rng.uniform(0.5, 20, 2)) for _ in range(m)]
+        a += b[:1]  # an exact copy scores exactly 1
+        got = iou(a, b)
+        assert got.shape == (len(a), m)
+        want = np.array([[scalar_iou(x, y) for y in b] for x in a]).reshape(len(a), m)
+        assert np.array_equal(got, want)
 
 
 def test_conversion_examples():
