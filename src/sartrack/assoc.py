@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .core import BBox, Detection, TrajectorySet, iou
-from .motion import Affine2x3, KalmanState, apply_cmc, kf_init, kf_predict, kf_update
+from .motion import Affine2x3, apply_cmc, kf_init, kf_predict, kf_update
 
 # Large finite cost marking forbidden pairs (cross-class); always above any
 # match threshold, kept finite so the assignment solver stays feasible.
@@ -65,11 +65,11 @@ class Lifecycle(enum.Enum):
 
 
 class Track:
-    """One trajectory hypothesis with Kalman state and EMA appearance."""
+    """One trajectory hypothesis: lifecycle and EMA appearance. Its Kalman
+    state is a row of the owning Tracker's arrays."""
 
     def __init__(self, track_id: int, det: Detection, cfg: TrackerConfig):
         self.id = track_id
-        self.kstate: KalmanState = kf_init(det.bbox.to_cxcyah())
         self.hits = 1
         self.age_since_update = 0
         self.class_id = det.class_id
@@ -78,12 +78,6 @@ class Track:
         self.lifecycle = Lifecycle.CONFIRMED if cfg.n_init <= 1 else Lifecycle.TENTATIVE
         self.ever_confirmed = self.lifecycle is Lifecycle.CONFIRMED
         self.history: list[tuple[int, BBox]] = [(det.frame, det.bbox)]
-
-    def predicted_bbox(self) -> BBox:
-        cx, cy, a, h = self.kstate.mean[:4]
-        a = max(a, 1e-6)
-        h = max(h, 1e-6)
-        return BBox.from_cxcyah(cx, cy, a, h)
 
     def mark_confirmed(self):
         self.lifecycle = Lifecycle.CONFIRMED
@@ -120,21 +114,19 @@ def hungarian(cost, max_cost: float) -> AssociationResult:
     )
 
 
-def iou_cost(track_boxes: list[BBox], det_boxes: list[BBox]) -> np.ndarray:
+def iou_cost(track_boxes, det_boxes) -> np.ndarray:
     return 1.0 - iou(track_boxes, det_boxes)
 
 
 def appearance_cost(tracks: list[Track], dets: list[Detection]) -> np.ndarray:
     """Cosine-based cost in [0,1]; NaN marks pairs lacking an embedding."""
     out = np.full((len(tracks), len(dets)), np.nan)
-    for i, t in enumerate(tracks):
-        if t.ema_embedding is None:
-            continue
-        for j, d in enumerate(dets):
-            if d.embedding is None:
-                continue
-            cos = float(np.dot(t.ema_embedding, d.embedding))
-            out[i, j] = (1.0 - cos) / 2.0
+    ti = [i for i, t in enumerate(tracks) if t.ema_embedding is not None]
+    dj = [j for j, d in enumerate(dets) if d.embedding is not None]
+    if ti and dj:
+        e_t = np.array([tracks[i].ema_embedding for i in ti])
+        e_d = np.array([dets[j].embedding for j in dj])
+        out[np.ix_(ti, dj)] = (1.0 - e_t @ e_d.T) / 2.0
     return out
 
 
@@ -154,56 +146,74 @@ def maa_fuse(iou_c: np.ndarray, app_c: np.ndarray, v_track, v_det,
     return np.where(gate, iou_c, fused)
 
 
-def _class_mask(cost: np.ndarray, tracks: list[Track], dets: list[Detection]) -> np.ndarray:
-    t_cls = np.array([t.class_id for t in tracks])
+def _class_mask(cost: np.ndarray, track_cls: np.ndarray, dets: list[Detection]) -> np.ndarray:
     d_cls = np.array([d.class_id for d in dets])
-    return np.where(t_cls[:, None] != d_cls[None, :], FORBIDDEN_COST, cost)
+    return np.where(track_cls[:, None] != d_cls[None, :], FORBIDDEN_COST, cost)
+
+
+def _predicted_xywh(mean: np.ndarray) -> np.ndarray:
+    """(N, 8) Kalman means -> (N, 4) predicted (x, y, w, h) boxes, with the
+    aspect ratio and height clamped positive."""
+    a = np.maximum(mean[:, 2], 1e-6)
+    h = np.maximum(mean[:, 3], 1e-6)
+    w = a * h
+    return np.stack([mean[:, 0] - w / 2.0, mean[:, 1] - h / 2.0, w, h], axis=1)
 
 
 class Tracker:
-    """Frame-by-frame tracker state for one sequence."""
+    """Frame-by-frame tracker state for one sequence.
+
+    Kalman state lives in two arrays, `mean` (N, 8) and `cov` (N, 8, 8),
+    whose rows follow `_live`, the tracks not yet removed, in creation
+    order. `tracks` holds the live tracks plus the removed ones that ever
+    confirmed; a track that never confirmed is dropped once removed.
+    """
 
     def __init__(self, cfg: TrackerConfig | None = None, use_maa: bool = True):
         self.cfg = cfg or TrackerConfig()
         self.use_maa = use_maa
         self.tracks: list[Track] = []
+        self._live: list[Track] = []
+        self.mean = np.zeros((0, 8))
+        self.cov = np.zeros((0, 8, 8))
         self._next_id = 1
         self._speed_max = 1e-9
 
-    def _live(self) -> list[Track]:
-        return [t for t in self.tracks if t.lifecycle is not Lifecycle.REMOVED]
-
-    def _det_v(self, d: Detection) -> float:
-        return d.motion_awareness if d.motion_awareness is not None else 0.0
-
-    def _update_track(self, t: Track, d: Detection, gate_active: bool):
-        t.kstate = kf_update(t.kstate, d.bbox.to_cxcyah())
-        t.hits += 1
-        t.age_since_update = 0
-        t.history.append((d.frame, d.bbox))
-        if t.lifecycle is Lifecycle.LOST:
-            t.mark_confirmed()
-        elif t.lifecycle is Lifecycle.TENTATIVE and t.hits >= self.cfg.n_init:
-            t.mark_confirmed()
-        # Appearance EMA is frozen while the gate fires so defocused looks
-        # never contaminate the track's appearance model.
-        if d.embedding is not None and not gate_active:
-            a = self.cfg.ema_alpha
-            if t.ema_embedding is None:
-                t.ema_embedding = d.embedding.copy()
+    def _update_tracks(self, matched_pairs: list[tuple[int, Detection, bool]]):
+        rows = [r for r, _, _ in matched_pairs]
+        z = np.array([d.bbox.to_cxcyah() for _, d, _ in matched_pairs])
+        mean, cov = kf_update(self.mean[rows], self.cov[rows], z)
+        self.mean[rows], self.cov[rows] = mean, cov
+        speeds = np.hypot(mean[:, 4], mean[:, 5])
+        # Each v_obs divides by the running maximum up to and including its
+        # own track, in match order.
+        speed_max = np.maximum.accumulate(np.concatenate(([self._speed_max], speeds)))
+        self._speed_max = speed_max[-1]
+        a, va = self.cfg.ema_alpha, self.cfg.v_ema_alpha
+        for (r, d, gate_active), speed, smax in zip(matched_pairs, speeds, speed_max[1:]):
+            t = self._live[r]
+            t.hits += 1
+            t.age_since_update = 0
+            t.history.append((d.frame, d.bbox))
+            if t.lifecycle is Lifecycle.LOST:
+                t.mark_confirmed()
+            elif t.lifecycle is Lifecycle.TENTATIVE and t.hits >= self.cfg.n_init:
+                t.mark_confirmed()
+            # Appearance EMA is frozen while the gate fires so defocused looks
+            # never contaminate the track's appearance model.
+            if d.embedding is not None and not gate_active:
+                if t.ema_embedding is None:
+                    t.ema_embedding = d.embedding.copy()
+                else:
+                    mixed = a * t.ema_embedding + (1.0 - a) * d.embedding
+                    n = np.linalg.norm(mixed)
+                    if n > 0:
+                        t.ema_embedding = mixed / n
+            if d.motion_awareness is not None:
+                v_obs = d.motion_awareness
             else:
-                mixed = a * t.ema_embedding + (1.0 - a) * d.embedding
-                n = np.linalg.norm(mixed)
-                if n > 0:
-                    t.ema_embedding = mixed / n
-        speed = t.kstate.speed()
-        self._speed_max = max(self._speed_max, speed)
-        if d.motion_awareness is not None:
-            v_obs = d.motion_awareness
-        else:
-            v_obs = min(speed / self._speed_max, 1.0)
-        va = self.cfg.v_ema_alpha
-        t.v_ema = min(max(va * t.v_ema + (1.0 - va) * v_obs, 0.0), 1.0)
+                v_obs = min(speed / smax, 1.0)
+            t.v_ema = min(max(va * t.v_ema + (1.0 - va) * v_obs, 0.0), 1.0)
 
     def step(self, frame: int, detections: list[Detection],
              cmc: Affine2x3 | None = None) -> list[tuple[int, BBox]]:
@@ -213,79 +223,72 @@ class Tracker:
         if any(d.frame != frame for d in detections):
             raise ValueError("detections from mixed frames")
 
-        live = self._live()
-        if cmc is not None and live:
-            states = apply_cmc([t.kstate for t in live], cmc)
-            for t, s in zip(live, states):
-                t.kstate = s
-        for t in live:
-            t.kstate = kf_predict(t.kstate)
+        live = self._live
+        if live:
+            if cmc is not None:
+                self.mean, self.cov = apply_cmc(self.mean, self.cov, cmc)
+            self.mean, self.cov = kf_predict(self.mean, self.cov)
+        pred_boxes = _predicted_xywh(self.mean)
+        classes = np.array([t.class_id for t in live])
 
         high = [d for d in detections if d.score >= cfg.tau_high]
         low = [d for d in detections if cfg.tau_low <= d.score < cfg.tau_high]
 
+        matched_rows: set[int] = set()
+        matched_pairs: list[tuple[int, Detection, bool]] = []
+
+        def assign(rows, dets, cost, max_cost, gates=None):
+            """Match pool rows to dets; returns the dets left unmatched."""
+            res = hungarian(_class_mask(cost, classes[rows], dets), max_cost)
+            for ti, dj in res.matches:
+                gate = True if gates is None else bool(gates[ti, dj])
+                matched_pairs.append((rows[ti], dets[dj], gate))
+                matched_rows.add(rows[ti])
+            return [dets[j] for j in res.unmatched_detections]
+
+        # Pools hold row indices into the state arrays and `live`.
         # Stage 1: confirmed + lost tracks vs high-score detections.
-        pool1 = [t for t in live if t.lifecycle in (Lifecycle.CONFIRMED, Lifecycle.LOST)]
-        matched_tracks: set[int] = set()
-        matched_pairs: list[tuple[Track, Detection, bool]] = []
+        pool1 = [r for r, t in enumerate(live)
+                 if t.lifecycle in (Lifecycle.CONFIRMED, Lifecycle.LOST)]
         rest_high = list(high)
         if pool1 and high:
-            icost = iou_cost([t.predicted_bbox() for t in pool1], [d.bbox for d in high])
+            icost = iou_cost(pred_boxes[pool1], [d.bbox for d in high])
             if self.use_maa:
-                acost = appearance_cost(pool1, high)
-                v_t = [t.v_ema for t in pool1]
-                v_d = [self._det_v(d) for d in high]
+                acost = appearance_cost([live[r] for r in pool1], high)
+                v_t = [live[r].v_ema for r in pool1]
+                v_d = [0.0 if d.motion_awareness is None else d.motion_awareness
+                       for d in high]
                 fused = maa_fuse(icost, acost, v_t, v_d, cfg)
                 gates = (np.maximum(np.asarray(v_t)[:, None],
                                     np.asarray(v_d)[None, :]) >= cfg.tau_v)
             else:
                 fused = icost
-                gates = np.ones((len(pool1), len(high)), dtype=bool)
-            fused = _class_mask(fused, pool1, high)
-            res = hungarian(fused, cfg.match_thresh_stage1)
-            for ti, dj in res.matches:
-                matched_pairs.append((pool1[ti], high[dj], bool(gates[ti, dj])))
-            matched_tracks |= {id(pool1[ti]) for ti, _ in res.matches}
-            rest_high = [high[j] for j in res.unmatched_detections]
+                gates = None
+            rest_high = assign(pool1, high, fused, cfg.match_thresh_stage1, gates)
 
         # Stage 2: still-confirmed leftovers vs low-score detections, IoU only.
-        pool2 = [t for t in pool1
-                 if id(t) not in matched_tracks and t.lifecycle is Lifecycle.CONFIRMED]
+        pool2 = [r for r in pool1
+                 if r not in matched_rows and live[r].lifecycle is Lifecycle.CONFIRMED]
         if pool2 and low:
-            icost = _class_mask(
-                iou_cost([t.predicted_bbox() for t in pool2], [d.bbox for d in low]),
-                pool2, low)
-            res = hungarian(icost, cfg.match_thresh_stage2)
-            for ti, dj in res.matches:
-                matched_pairs.append((pool2[ti], low[dj], True))
-            matched_tracks |= {id(pool2[ti]) for ti, _ in res.matches}
+            assign(pool2, low, iou_cost(pred_boxes[pool2], [d.bbox for d in low]),
+                   cfg.match_thresh_stage2)
 
         # Tentative tracks chase the remaining high-score detections (IoU only).
-        tent = [t for t in live if t.lifecycle is Lifecycle.TENTATIVE]
+        tent = [r for r, t in enumerate(live) if t.lifecycle is Lifecycle.TENTATIVE]
         if tent and rest_high:
-            icost = _class_mask(
-                iou_cost([t.predicted_bbox() for t in tent], [d.bbox for d in rest_high]),
-                tent, rest_high)
-            res = hungarian(icost, cfg.match_thresh_stage1)
-            for ti, dj in res.matches:
-                matched_pairs.append((tent[ti], rest_high[dj], True))
-            matched_tracks |= {id(tent[ti]) for ti, _ in res.matches}
-            rest_high = [rest_high[j] for j in res.unmatched_detections]
+            rest_high = assign(tent, rest_high,
+                               iou_cost(pred_boxes[tent], [d.bbox for d in rest_high]),
+                               cfg.match_thresh_stage1)
 
-        for t, d, gate_active in matched_pairs:
-            self._update_track(t, d, gate_active)
+        if matched_pairs:
+            self._update_tracks(matched_pairs)
+        emitted = [(live[r].id, d.bbox) for r, d, _ in matched_pairs
+                   if live[r].lifecycle is Lifecycle.CONFIRMED]
 
-        # Spawn fresh tracks from leftover high-score detections.
-        spawned = []
-        for d in rest_high:
-            t = Track(self._next_id, d, cfg)
-            self._next_id += 1
-            self.tracks.append(t)
-            spawned.append((t, d))
-
-        # Age out everything that went unmatched this frame.
-        for t in live:
-            if id(t) in matched_tracks:
+        # Age out everything that went unmatched this frame; removed tracks
+        # leave the state arrays, and the track list too if never confirmed.
+        for r, t in enumerate(live):
+            if r in matched_rows:
                 continue
             t.age_since_update += 1
             if t.lifecycle is Lifecycle.TENTATIVE:
@@ -294,11 +297,27 @@ class Tracker:
                 t.lifecycle = Lifecycle.LOST
             elif t.lifecycle is Lifecycle.LOST and t.age_since_update > cfg.max_age:
                 t.lifecycle = Lifecycle.REMOVED
+        keep = [t.lifecycle is not Lifecycle.REMOVED for t in live]
+        if not all(keep):
+            self._live = [t for t, k in zip(live, keep) if k]
+            self.mean, self.cov = self.mean[keep], self.cov[keep]
+            self.tracks = [t for t in self.tracks
+                           if t.ever_confirmed or t.lifecycle is not Lifecycle.REMOVED]
 
-        emitted = [(t.id, d.bbox) for t, d, _ in matched_pairs
-                   if t.lifecycle is Lifecycle.CONFIRMED]
-        emitted += [(t.id, d.bbox) for t, d in spawned
-                    if t.lifecycle is Lifecycle.CONFIRMED]
+        # Spawn fresh tracks from leftover high-score detections.
+        if rest_high:
+            states = []
+            for d in rest_high:
+                t = Track(self._next_id, d, cfg)
+                self._next_id += 1
+                self.tracks.append(t)
+                self._live.append(t)
+                states.append(kf_init(d.bbox.to_cxcyah()))
+                if t.lifecycle is Lifecycle.CONFIRMED:
+                    emitted.append((t.id, d.bbox))
+            means, covs = zip(*states)
+            self.mean = np.concatenate([self.mean, means])
+            self.cov = np.concatenate([self.cov, covs])
         return emitted
 
     def trajectories(self) -> TrajectorySet:

@@ -47,11 +47,17 @@ class BBox:
         return cls(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
+def _xywh(boxes) -> np.ndarray:
+    if isinstance(boxes, np.ndarray):
+        return boxes.reshape(-1, 4)
+    return np.array([(r.x, r.y, r.w, r.h) for r in boxes], dtype=float).reshape(-1, 4)
+
+
 def iou(boxes_a, boxes_b) -> np.ndarray:
-    """Pairwise intersection-over-union of two box lists, shape
-    (len(boxes_a), len(boxes_b)), in [0, 1]."""
-    a, b = (np.array([(r.x, r.y, r.w, r.h) for r in boxes], dtype=float).reshape(-1, 4)
-            for boxes in (boxes_a, boxes_b))
+    """Pairwise intersection-over-union of two box sets, each a sequence of
+    BBox or an (N, 4) array of (x, y, w, h) rows; shape
+    (len(boxes_a), len(boxes_b)), values in [0, 1]."""
+    a, b = _xywh(boxes_a), _xywh(boxes_b)
     ix = (np.minimum((a[:, 0] + a[:, 2])[:, None], (b[:, 0] + b[:, 2])[None, :])
           - np.maximum(a[:, None, 0], b[None, :, 0])).clip(min=0.0)
     iy = (np.minimum((a[:, 1] + a[:, 3])[:, None], (b[:, 1] + b[:, 3])[None, :])

@@ -1,8 +1,10 @@
 """Constant-velocity Kalman filtering on (cx, cy, a, h) boxes plus global
 camera-motion compensation of predicted states.
 
-Noise scaling follows the SORT/ByteTrack convention: position stds weighted
-by h/20, velocity stds by h/160 (configurable via NoiseProfile).
+The filter runs on stacks: (N, 8) means and (N, 8, 8) covariances, one row
+per track, so a frame costs one predict and one update call. Noise scaling
+follows the SORT/ByteTrack convention: position stds weighted by h/20,
+velocity stds by h/160.
 """
 from __future__ import annotations
 
@@ -44,102 +46,73 @@ class Affine2x3:
         return bool(np.array_equal(self.m, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
 
 
-@dataclass(frozen=True)
-class NoiseProfile:
-    std_weight_position: float = 1.0 / 20.0
-    std_weight_velocity: float = 1.0 / 160.0
-
-
-DEFAULT_NOISE = NoiseProfile()
-
 # State layout: (cx, cy, a, h, vcx, vcy, va, vh)
 _F = np.eye(8)
 _F[:4, 4:] = np.eye(4)
 _H = np.eye(4, 8)
+_I8 = np.eye(8)
+
+# SORT/ByteTrack noise: position stds are h/20 and velocity stds h/160;
+# aspect-ratio terms have fixed stds. Row stds are h * weights + fixed.
+_W_POS, _W_VEL = 1.0 / 20.0, 1.0 / 160.0
+_Q_W = np.array([_W_POS, _W_POS, 0.0, _W_POS, _W_VEL, _W_VEL, 0.0, _W_VEL])
+_INIT_W = _Q_W * [2.0, 2.0, 0.0, 2.0, 10.0, 10.0, 0.0, 10.0]
+_Q_FIXED = np.array([0.0, 0.0, 1e-2, 0.0, 0.0, 0.0, 1e-5, 0.0])
+_R_FIXED = np.array([0.0, 0.0, 1e-1, 0.0])
 
 
-@dataclass(frozen=True)
-class KalmanState:
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.shape != (8,) or cov.shape != (8, 8):
-            raise ValueError("state must be an 8-vector with 8x8 covariance")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    def position(self) -> np.ndarray:
-        return self.mean[:4]
-
-    def speed(self) -> float:
-        return float(np.hypot(self.mean[4], self.mean[5]))
-
-
-def kf_init(measurement, noise: NoiseProfile = DEFAULT_NOISE) -> KalmanState:
-    """Start a track from one (cx, cy, a, h) measurement, zero velocity."""
+def kf_init(measurement) -> tuple[np.ndarray, np.ndarray]:
+    """Start a track from one (cx, cy, a, h) measurement, zero velocity.
+    Returns one (8,) mean and one (8, 8) covariance."""
     z = np.asarray(measurement, dtype=float)
-    h = z[3]
-    if h <= 0:
-        raise ValueError(f"height must be positive, got {h}")
+    if z[3] <= 0:
+        raise ValueError(f"height must be positive, got {z[3]}")
     mean = np.zeros(8)
     mean[:4] = z
-    wp, wv = noise.std_weight_position, noise.std_weight_velocity
-    std = np.array([2 * wp * h, 2 * wp * h, 1e-2, 2 * wp * h,
-                    10 * wv * h, 10 * wv * h, 1e-5, 10 * wv * h])
-    return KalmanState(mean, np.diag(std ** 2))
+    return mean, np.diag((z[3] * _INIT_W + _Q_FIXED) ** 2)
 
 
-def _process_noise(h: float, noise: NoiseProfile) -> np.ndarray:
-    wp, wv = noise.std_weight_position, noise.std_weight_velocity
-    std = np.array([wp * h, wp * h, 1e-2, wp * h,
-                    wv * h, wv * h, 1e-5, wv * h])
-    return np.diag(std ** 2)
+def kf_predict(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-timestep constant-velocity prediction of (N, 8) means and
+    (N, 8, 8) covariances, one row per track."""
+    std = mean[:, 3:4] * _Q_W + _Q_FIXED
+    c = _F @ cov @ _F.T + _I8 * (std ** 2)[:, None, :]
+    return mean @ _F.T, 0.5 * (c + c.transpose(0, 2, 1))
 
 
-def kf_predict(s: KalmanState, noise: NoiseProfile = DEFAULT_NOISE) -> KalmanState:
-    """Unit-timestep constant-velocity prediction."""
-    h = s.mean[3]
-    mean = _F @ s.mean
-    cov = _F @ s.cov @ _F.T + _process_noise(h, noise)
-    return KalmanState(mean, 0.5 * (cov + cov.T))
-
-
-def kf_update(s: KalmanState, measurement,
-              noise: NoiseProfile = DEFAULT_NOISE) -> KalmanState:
-    """Standard Kalman correction with H = [I4 0]."""
+def kf_update(mean: np.ndarray, cov: np.ndarray,
+              measurement) -> tuple[np.ndarray, np.ndarray]:
+    """Standard Kalman correction with H = [I4 0] of (N, 8) means and
+    (N, 8, 8) covariances by (N, 4) measurements, row by row."""
     z = np.asarray(measurement, dtype=float)
-    h = s.mean[3]
-    wp = noise.std_weight_position
-    r_std = np.array([wp * h, wp * h, 1e-1, wp * h])
-    r = np.diag(r_std ** 2)
-    innov_cov = _H @ s.cov @ _H.T + r
+    std = mean[:, 3:4] * _Q_W[:4] + _R_FIXED
+    # H selects the first four state entries, so H @ cov @ H.T, cov @ H.T
+    # and H @ mean are slices.
+    innov_cov = cov[:, :4, :4] + _I8[:4, :4] * (std ** 2)[:, None, :]
     try:
-        gain = np.linalg.solve(innov_cov.T, (s.cov @ _H.T).T).T
+        gain = np.linalg.solve(innov_cov.transpose(0, 2, 1),
+                               cov[:, :, :4].transpose(0, 2, 1)).transpose(0, 2, 1)
     except np.linalg.LinAlgError as e:
         raise ValueError("singular innovation covariance") from e
-    mean = s.mean + gain @ (z - _H @ s.mean)
-    cov = (np.eye(8) - gain @ _H) @ s.cov
-    return KalmanState(mean, 0.5 * (cov + cov.T))
+    new_mean = mean + (gain @ (z - mean[:, :4])[:, :, None])[:, :, 0]
+    c = (_I8 - gain @ _H) @ cov
+    return new_mean, 0.5 * (c + c.transpose(0, 2, 1))
 
 
-def apply_cmc(states: list[KalmanState], m: Affine2x3) -> list[KalmanState]:
-    """Carry states into the current frame's geometry.
+def apply_cmc(mean: np.ndarray, cov: np.ndarray,
+              m: Affine2x3) -> tuple[np.ndarray, np.ndarray]:
+    """Carry (N, 8) means and (N, 8, 8) covariances into the current frame's
+    geometry.
 
     Centers get the full affine; center velocities are rotated only; aspect
     and height are untouched. The position covariance block is rotated.
     """
     if m.is_identity():
-        return list(states)
+        return mean, cov
     rot, t = m.rot, m.t
-    out = []
-    for s in states:
-        mean = s.mean.copy()
-        mean[:2] = rot @ s.mean[:2] + t
-        mean[4:6] = rot @ s.mean[4:6]
-        cov = s.cov.copy()
-        cov[:2, :2] = rot @ s.cov[:2, :2] @ rot.T
-        out.append(KalmanState(mean, cov))
-    return out
+    mean = mean.copy()
+    mean[:, :2] = (rot @ mean[:, :2, None])[:, :, 0] + t
+    mean[:, 4:6] = (rot @ mean[:, 4:6, None])[:, :, 0]
+    cov = cov.copy()
+    cov[:, :2, :2] = rot @ cov[:, :2, :2] @ rot.T
+    return mean, cov

@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sartrack.assoc import (AssociationResult, Track, Tracker, TrackerConfig,
-                            appearance_cost, hungarian, iou_cost, maa_fuse,
-                            track_sequence)
+from sartrack.assoc import (AssociationResult, Lifecycle, Track, Tracker,
+                            TrackerConfig, appearance_cost, hungarian, iou_cost,
+                            maa_fuse, track_sequence)
 from sartrack.core import BBox, Detection
 from sartrack.metrics import clear_mot
 
@@ -81,6 +83,27 @@ def test_appearance_cost_values():
     c = appearance_cost([t], dets)
     np.testing.assert_allclose(c[0, :3], [0.0, 1.0, 0.5])
     assert np.isnan(c[0, 3])
+
+
+@pytest.mark.parametrize("dim", [2, 8, 16, 64])
+def test_appearance_cost_matches_per_pair_dot(dim):
+    rng = np.random.default_rng(dim)
+    cfg = TrackerConfig()
+
+    def unit():
+        v = rng.normal(size=dim)
+        return v / np.linalg.norm(v)
+
+    tracks = [Track(i, det(1, 0, 0, emb=unit() if i % 3 else None), cfg) for i in range(7)]
+    dets = [det(1, 0, 0, emb=unit() if j % 4 else None) for j in range(9)]
+    c = appearance_cost(tracks, dets)
+    for i, t in enumerate(tracks):
+        for j, d in enumerate(dets):
+            if t.ema_embedding is None or d.embedding is None:
+                assert np.isnan(c[i, j])
+            else:
+                want = (1.0 - float(np.dot(t.ema_embedding, d.embedding))) / 2.0
+                assert abs(c[i, j] - want) <= 1e-12
 
 
 def test_maa_fuse_full_discard_is_bitwise_iou():
@@ -171,6 +194,48 @@ def test_ids_never_reused():
             seen.add(tid)
     ids = [t.id for t in tracker.tracks]
     assert len(ids) == len(set(ids))
+
+
+def test_unconfirmed_tracks_leave_the_track_list():
+    # One isolated detection per frame: each spawns a tentative track that
+    # dies unmatched on the next frame and can never be emitted.
+    tracker = Tracker(TrackerConfig(n_init=2))
+    ids = []
+    for f in range(1, 2001):
+        tracker.step(f, [det(f, 50.0 * f, 10)])
+        assert len(tracker.tracks) <= 2
+        ids.append(tracker.tracks[-1].id)
+    assert ids == list(range(1, 2001))
+    assert len(tracker.trajectories()) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 40),
+       n_init=st.integers(1, 3), max_age=st.integers(0, 4), use_maa=st.booleans())
+def test_tracker_invariants_on_random_streams(seed, n_frames, n_init, max_age, use_maa):
+    rng = np.random.default_rng(seed)
+    tracker = Tracker(TrackerConfig(n_init=n_init, max_age=max_age), use_maa=use_maa)
+    owner: dict[int, Track] = {}
+    removed: set[int] = set()
+    for f in range(1, n_frames + 1):
+        # A few slow walkers near a shared spot, so tracks meet, split and die.
+        dets = [det(f, float(rng.normal(30, 8)), float(rng.normal(30, 8)),
+                    score=float(rng.choice([0.05, 0.3, 0.7, 0.95])),
+                    class_id=int(rng.integers(0, 2)),
+                    ma=float(rng.random()) if rng.random() < 0.5 else None)
+                for _ in range(rng.integers(0, 6))]
+        out = tracker.step(f, dets)
+        ids = [tid for tid, _ in out]
+        assert len(ids) == len(set(ids))
+        assert all(b in {d.bbox for d in dets} for _, b in out)
+        assert not removed & set(ids)
+        for t in tracker.tracks:
+            assert owner.setdefault(t.id, t) is t  # an id names one track only
+        gone = set(owner) - {t.id for t in tracker.tracks}
+        removed |= gone | {t.id for t in tracker.tracks if t.lifecycle is Lifecycle.REMOVED}
+    for _, seq in tracker.trajectories().tracks:
+        frames = [fr for fr, _ in seq]
+        assert all(a < b for a, b in zip(frames, frames[1:]))
 
 
 def test_class_aware_matching():

@@ -1,18 +1,32 @@
 import numpy as np
 import pytest
 
-from sartrack.motion import (Affine2x3, KalmanState, apply_cmc, kf_init,
-                             kf_predict, kf_update)
+from sartrack.motion import Affine2x3, apply_cmc, kf_init, kf_predict, kf_update
+
+
+def init1(z):
+    """kf_init as an N=1 stack: (1, 8) mean and (1, 8, 8) covariance."""
+    mean, cov = kf_init(z)
+    return mean[None], cov[None]
+
+
+def predict1(s):
+    return kf_predict(*s)
+
+
+def update1(s, z):
+    return kf_update(*s, np.asarray(z, dtype=float)[None])
 
 
 def test_init_zero_velocity_and_spd_cov():
-    s = kf_init((10, 10, 1, 4))
-    assert np.all(s.mean[4:] == 0)
-    np.testing.assert_allclose(s.cov, s.cov.T)
-    assert np.all(np.linalg.eigvalsh(s.cov) > 0)
-    s2 = kf_init((10, 10, 1, 4))
-    np.testing.assert_array_equal(s.mean, s2.mean)
-    np.testing.assert_array_equal(s.cov, s2.cov)
+    mean, cov = kf_init((10, 10, 1, 4))
+    assert mean.shape == (8,) and cov.shape == (8, 8)
+    assert np.all(mean[4:] == 0)
+    np.testing.assert_allclose(cov, cov.T)
+    assert np.all(np.linalg.eigvalsh(cov) > 0)
+    mean2, cov2 = kf_init((10, 10, 1, 4))
+    np.testing.assert_array_equal(mean, mean2)
+    np.testing.assert_array_equal(cov, cov2)
 
 
 def test_init_rejects_nonpositive_height():
@@ -21,90 +35,88 @@ def test_init_rejects_nonpositive_height():
 
 
 def test_predict_zero_velocity_keeps_position():
-    s = kf_predict(kf_init((5, 6, 1, 4)))
-    np.testing.assert_allclose(s.mean[:4], [5, 6, 1, 4])
+    mean, _ = predict1(init1((5, 6, 1, 4)))
+    np.testing.assert_allclose(mean[0, :4], [5, 6, 1, 4])
 
 
 def test_predict_linear_motion():
-    s0 = kf_init((0, 0, 1, 4))
-    mean = s0.mean.copy()
-    mean[4:6] = [1, 2]
-    s = kf_predict(KalmanState(mean, s0.cov))
-    np.testing.assert_allclose(s.mean[:4], [1, 2, 1, 4])
+    mean, cov = init1((0, 0, 1, 4))
+    mean[0, 4:6] = [1, 2]
+    mean, _ = kf_predict(mean, cov)
+    np.testing.assert_allclose(mean[0, :4], [1, 2, 1, 4])
 
 
 def test_predict_increases_trace():
-    s = kf_init((0, 0, 1, 4))
-    s2 = kf_predict(s)
-    assert np.trace(s2.cov) > np.trace(s.cov)
+    s = init1((0, 0, 1, 4))
+    s2 = predict1(s)
+    assert np.trace(s2[1][0]) > np.trace(s[1][0])
 
 
 def test_update_zero_innovation():
-    s = kf_predict(kf_init((3, 4, 1, 5)))
-    s2 = kf_update(s, s.mean[:4])
-    np.testing.assert_allclose(s2.mean[:4], s.mean[:4], atol=1e-12)
+    s = predict1(init1((3, 4, 1, 5)))
+    mean, _ = update1(s, s[0][0, :4])
+    np.testing.assert_allclose(mean[0, :4], s[0][0, :4], atol=1e-12)
 
 
 def test_update_contracts_position_variance():
-    s = kf_predict(kf_init((3, 4, 1, 5)))
-    s2 = kf_update(s, (3.5, 4.5, 1, 5))
+    s = predict1(init1((3, 4, 1, 5)))
+    _, cov = update1(s, (3.5, 4.5, 1, 5))
     for i in range(4):
-        assert s2.cov[i, i] <= s.cov[i, i] + 1e-12
+        assert cov[0, i, i] <= s[1][0, i, i] + 1e-12
 
 
 def test_repeated_updates_converge():
-    s = kf_init((0, 0, 1, 4))
+    s = init1((0, 0, 1, 4))
     z = np.array([10.0, -5.0, 1.2, 6.0])
     errs = []
     for _ in range(100):
-        s = kf_update(kf_predict(s), z)
-        errs.append(np.abs(s.mean[:2] - z[:2]).max())
-    np.testing.assert_allclose(s.mean[:2], z[:2], atol=1e-3)
+        s = update1(predict1(s), z)
+        errs.append(np.abs(s[0][0, :2] - z[:2]).max())
+    np.testing.assert_allclose(s[0][0, :2], z[:2], atol=1e-3)
     assert errs[-1] < errs[19] < errs[4]
 
 
 def test_covariance_symmetric_over_long_sequence():
     rng = np.random.default_rng(0)
-    s = kf_init((0, 0, 1, 4))
+    s = init1((0, 0, 1, 4))
     for _ in range(100):
-        s = kf_predict(s)
-        s = kf_update(s, s.mean[:4] + rng.normal(0, 0.1, 4) * [1, 1, 0.01, 1])
-        assert np.abs(s.cov - s.cov.T).max() < 1e-9
+        s = predict1(s)
+        s = update1(s, s[0][0, :4] + rng.normal(0, 0.1, 4) * [1, 1, 0.01, 1])
+        cov = s[1][0]
+        assert np.abs(cov - cov.T).max() < 1e-9
 
 
 def test_tracks_constant_velocity_truth():
-    s = kf_init((0.0, 0.0, 1.0, 4.0))
+    s = init1((0.0, 0.0, 1.0, 4.0))
     for t in range(1, 31):
-        s = kf_predict(s)
-        s = kf_update(s, (2.0 * t, -1.0 * t, 1.0, 4.0))
-    np.testing.assert_allclose(s.mean[:2], [60.0, -30.0], atol=1e-2)
+        s = predict1(s)
+        s = update1(s, (2.0 * t, -1.0 * t, 1.0, 4.0))
+    np.testing.assert_allclose(s[0][0, :2], [60.0, -30.0], atol=1e-2)
 
 
 def test_apply_cmc_identity():
-    s = kf_init((1, 2, 1, 4))
-    [out] = apply_cmc([s], Affine2x3.identity())
-    np.testing.assert_array_equal(out.mean, s.mean)
-    np.testing.assert_array_equal(out.cov, s.cov)
+    mean, cov = init1((1, 2, 1, 4))
+    out_mean, out_cov = apply_cmc(mean, cov, Affine2x3.identity())
+    np.testing.assert_array_equal(out_mean, mean)
+    np.testing.assert_array_equal(out_cov, cov)
 
 
 def test_apply_cmc_translation():
-    s0 = kf_init((1, 2, 1, 4))
-    mean = s0.mean.copy()
-    mean[4:6] = [0.5, -0.5]
-    s = KalmanState(mean, s0.cov)
+    mean, cov = init1((1, 2, 1, 4))
+    mean[0, 4:6] = [0.5, -0.5]
     m = Affine2x3(np.array([[1, 0, 5], [0, 1, 0]], dtype=float))
-    [out] = apply_cmc([s], m)
-    np.testing.assert_allclose(out.mean[:2], [6, 2])
-    np.testing.assert_allclose(out.mean[4:6], [0.5, -0.5])
-    np.testing.assert_allclose(out.mean[2:4], s.mean[2:4])
+    out, _ = apply_cmc(mean, cov, m)
+    np.testing.assert_allclose(out[0, :2], [6, 2])
+    np.testing.assert_allclose(out[0, 4:6], [0.5, -0.5])
+    np.testing.assert_allclose(out[0, 2:4], mean[0, 2:4])
 
 
 def test_apply_cmc_rotation():
-    s0 = kf_init((1, 0, 1, 4))
+    mean, cov = init1((1, 0, 1, 4))
     rot90 = Affine2x3(np.array([[0, -1, 0], [1, 0, 0]], dtype=float))
-    [out] = apply_cmc([s0], rot90)
-    np.testing.assert_allclose(out.mean[:2], [0, 1], atol=1e-12)
-    np.testing.assert_allclose(out.mean[2:4], s0.mean[2:4])
+    out, _ = apply_cmc(mean, cov, rot90)
+    np.testing.assert_allclose(out[0, :2], [0, 1], atol=1e-12)
+    np.testing.assert_allclose(out[0, 2:4], mean[0, 2:4])
 
 
 def test_affine_validation():
