@@ -4,7 +4,7 @@ Hungarian assignment, and track lifecycle management.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -15,8 +15,6 @@ from .motion import Affine2x3, apply_cmc, kf_init, kf_predict, kf_update
 # Large finite cost marking forbidden pairs (cross-class); always above any
 # match threshold, kept finite so the assignment solver stays feasible.
 FORBIDDEN_COST = 1e6
-
-_INT_KEYS = {"n_init", "max_age"}
 
 
 @dataclass(frozen=True)
@@ -44,17 +42,6 @@ class TrackerConfig:
             raise ValueError(f"n_init must be >= 1, got {self.n_init}")
         if self.max_age < 0:
             raise ValueError(f"max_age must be >= 0, got {self.max_age}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrackerConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        for k, v in d.items():
-            kwargs[k] = int(v) if k in _INT_KEYS else float(v)
-        return cls(**kwargs)
 
 
 class Lifecycle(enum.Enum):

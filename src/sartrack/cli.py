@@ -7,14 +7,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
 from . import assoc, lfa, lineops, metrics, synthsim
 from . import io as sio
-from .core import BBox
-from .motion import Affine2x3
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,7 +41,7 @@ def cmd_track(args) -> int:
     cmc = sio.parse_cmc_file(_require_file(args.cmc)) if args.cmc else None
     cfg = assoc.TrackerConfig()
     if args.config:
-        cfg = assoc.TrackerConfig.from_dict(sio.parse_config(_require_file(args.config)))
+        (cfg,) = sio.load_config(_require_file(args.config), assoc.TrackerConfig)
     dets = sio.records_to_detections(records, embeddings)
     tset = assoc.track_sequence(dets, cmc, cfg, use_maa=(args.maa == "on"))
     sio.write_mot_file(tset, args.out)
@@ -64,8 +61,8 @@ def cmd_eval(args) -> int:
     extra = [f for f in pred.frames() if f < gt_frames[0] or f > gt_frames[-1]]
     if extra:
         raise DataError(
-            f"{args.res}: frames {extra[:5]}... fall outside the ground-truth "
-            f"range [{gt_frames[0]}, {gt_frames[-1]}]")
+            f"{args.res}: frames {extra[:5]}... fall outside the range "
+            f"[{gt_frames[0]}, {gt_frames[-1]}] of {args.gt}")
     rep = metrics.evaluate(gt, pred, args.iou)
     values = [f"{rep.mota:.3f}", str(rep.idsw), str(rep.mt), str(rep.ml),
               f"{rep.idf1:.3f}", f"{rep.idr:.3f}", f"{rep.idp:.3f}",
@@ -81,14 +78,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    conf = sio.parse_config(_require_file(args.config))
-    known = {f.name for cls in (synthsim.ScenarioConfig, synthsim.PerturbConfig)
-             for f in fields(cls)}
-    unknown = sorted(set(conf) - known)
-    if unknown:
-        raise DataError(f"{args.config}: unknown config keys: {unknown}")
-    scn = synthsim.ScenarioConfig.from_dict(conf)
-    pert = synthsim.PerturbConfig.from_dict(conf)
+    scn, pert = sio.load_config(_require_file(args.config),
+                                synthsim.ScenarioConfig, synthsim.PerturbConfig)
+    if pert.clutter_size_max > min(scn.width, scn.height):
+        raise DataError(f"{args.config}: clutter_size_max {pert.clutter_size_max} does not fit "
+                        f"the {scn.width}x{scn.height} canvas")
     scene = synthsim.generate_scene(scn)
     dets = synthsim.perturb_detections(scene, pert)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -139,32 +133,18 @@ def cmd_lineops(args) -> int:
     return EXIT_OK
 
 
-def _parse_proposals(path):
-    props = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) < 6:
-                raise DataError(f"{path}:{line_no}: expected x y w h v_hat f1...")
-            try:
-                vals = [float(v) for v in fields]
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: non-numeric field") from None
-            props.append(lfa.Proposal(BBox(*vals[:4]), np.array(vals[5:]), vals[4]))
-    return props
-
-
 def cmd_lfa_demo(args) -> int:
     a_soft = sio.read_tensor(_require_file(args.asoft))
-    props = _parse_proposals(_require_file(args.proposals))
+    props = sio.parse_proposals(_require_file(args.proposals))
     h, w = a_soft.shape[:2]
     cfg = lfa.LfaConfig(image_w=args.width or w, image_h=args.height or h,
                         lambda_max=args.lambda_max)
     with open(args.out, "w") as fh:
-        for p in props:
-            en = lfa.enhance_proposal(p, a_soft, cfg)
+        for line_no, p in props:
+            try:
+                en = lfa.enhance_proposal(p, a_soft, cfg)
+            except ValueError as e:
+                raise sio.ParseError(args.proposals, line_no, e) from None
             b = en.bbox
             feat = " ".join(repr(float(v)) for v in en.feature)
             fh.write(f"{b.x} {b.y} {b.w} {b.h} {en.v_hat} {feat}\n")

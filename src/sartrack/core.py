@@ -34,9 +34,6 @@ class BBox:
     def center(self) -> tuple[float, float]:
         return (self.cx, self.cy)
 
-    def area(self) -> float:
-        return self.w * self.h
-
     def to_cxcyah(self) -> tuple[float, float, float, float]:
         """(center x, center y, aspect ratio w/h, height)."""
         return (self.cx, self.cy, self.w / self.h, self.h)
@@ -142,18 +139,3 @@ class TrajectorySet:
     def by_id(self) -> dict[int, dict[int, BBox]]:
         return {tid: {f: b for f, b in seq} for tid, seq in self.tracks}
 
-
-@dataclass(frozen=True)
-class FrameWindow:
-    """A window of consecutive frame indices used to scope feature generation."""
-
-    window_size: int
-    frames: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.window_size < 1:
-            raise ValueError("window_size must be >= 1")
-        if len(self.frames) != self.window_size:
-            raise ValueError("frame count must equal window_size")
-        if any(b - a != 1 for a, b in zip(self.frames, self.frames[1:])):
-            raise ValueError("frames must be consecutive")

@@ -1,18 +1,30 @@
 """File formats: MOTChallenge CSV (with an optional motion-awareness column),
-embedding and camera-motion sidecars, flat key=value configs, raw tensor
-files, and PGM/PPM images.
+embedding and camera-motion sidecars, proposal lists, flat key=value configs,
+raw tensor files, and PGM/PPM images.
+
+Every text input is ASCII and goes through ``read_lines`` and
+``parse_numbers``, so a malformed line fails as ``path:line: message``.
 """
 from __future__ import annotations
 
+import dataclasses
+import math
 import struct
+import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BBox, Detection, TrajectorySet
+from .lfa import Proposal
 from .motion import Affine2x3
 
 TENSOR_MAGIC = b"VSFM"
+
+# Smallest embedding norm whose squared sum is a normal float: below it the
+# sum loses precision and the normalized vector can miss unit norm.
+_NORM_MIN = math.sqrt(sys.float_info.min)
 
 
 class ParseError(ValueError):
@@ -54,31 +66,55 @@ class MotRecord:
         return BBox(self.x, self.y, self.w, self.h)
 
 
+def read_lines(path):
+    """Yield (line number, stripped text) for each nonblank line of an ASCII
+    text file. A line holding a non-ASCII byte is a ParseError."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise ParseError(path, line_no, "non-ASCII byte")
+            line = line.strip()
+            if line:
+                yield line_no, line
+
+
+def parse_numbers(path, line_no, fields, int_cols) -> list:
+    """The fields as finite floats, except those at the indices in
+    ``int_cols``, which must be integral (``3`` or ``3.0``) and become ints."""
+    try:
+        vals = [float(f) for f in fields]
+    except ValueError as e:
+        raise ParseError(path, line_no, f"non-numeric field: {e}") from None
+    if not all(map(math.isfinite, vals)):
+        raise ParseError(path, line_no, "non-finite value")
+    for i in int_cols:
+        if not vals[i].is_integer():
+            raise ParseError(path, line_no, f"expected an integer, got {fields[i]!r}")
+        try:
+            vals[i] = int(fields[i])  # exact beyond 2**53
+        except ValueError:
+            vals[i] = int(vals[i])
+    return vals
+
+
+_MOT_INT_COLS = (0, 1, 7)
+
+
 def parse_mot_file(path) -> list[MotRecord]:
     """Records sorted by frame (stable); 9 or 10 comma-separated columns."""
     records = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) not in (9, 10):
-                raise ParseError(path, line_no, f"expected 9 or 10 columns, got {len(fields)}")
-            try:
-                vals = [float(f) for f in fields]
-            except ValueError:
-                raise ParseError(path, line_no, f"non-numeric field in {line!r}") from None
-            if not all(np.isfinite(vals)):
-                raise ParseError(path, line_no, "non-finite value")
-            frame = int(vals[0])
-            if frame < 1:
-                raise ParseError(path, line_no, f"frame must be >= 1, got {frame}")
-            if vals[4] <= 0 or vals[5] <= 0:
-                raise ParseError(path, line_no, f"nonpositive box size {vals[4]}x{vals[5]}")
-            ma = vals[9] if len(vals) == 10 else None
-            records.append(MotRecord(frame, int(vals[1]), vals[2], vals[3], vals[4],
-                                     vals[5], vals[6], int(vals[7]), vals[8], ma))
+    for line_no, line in read_lines(path):
+        fields = line.split(",")
+        if len(fields) not in (9, 10):
+            raise ParseError(path, line_no, f"expected 9 or 10 columns, got {len(fields)}")
+        vals = parse_numbers(path, line_no, fields, _MOT_INT_COLS)
+        if vals[0] < 1:
+            raise ParseError(path, line_no, f"frame must be >= 1, got {vals[0]}")
+        if vals[4] <= 0 or vals[5] <= 0:
+            raise ParseError(path, line_no, f"nonpositive box size {vals[4]}x{vals[5]}")
+        if len(vals) == 10 and not 0.0 <= vals[9] <= 1.0:
+            raise ParseError(path, line_no, f"motion awareness must be in [0,1], got {vals[9]}")
+        records.append(MotRecord(*vals))
     records.sort(key=lambda r: r.frame)
     return records
 
@@ -129,28 +165,20 @@ def parse_embeddings(path) -> dict[tuple[int, int], np.ndarray]:
     """Lines of `frame det_index v1 ... vd`; vectors are L2-normalized."""
     out: dict[tuple[int, int], np.ndarray] = {}
     dim = None
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            try:
-                frame = int(fields[0])
-                idx = int(fields[1])
-                vec = np.array([float(f) for f in fields[2:]])
-            except (ValueError, IndexError):
-                raise ParseError(path, line_no, "malformed embedding line") from None
-            if vec.size == 0 or not np.all(np.isfinite(vec)):
-                raise ParseError(path, line_no, "empty or non-finite embedding")
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise ParseError(path, line_no,
-                                 f"dimension {vec.size} != first dimension {dim}")
-            n = np.linalg.norm(vec)
-            if n == 0:
-                raise ParseError(path, line_no, "zero embedding cannot be normalized")
-            out[(frame, idx)] = vec / n
+    for line_no, line in read_lines(path):
+        fields = line.split()
+        if len(fields) < 3:
+            raise ParseError(path, line_no, "expected `frame index v1 ... vd`")
+        vals = parse_numbers(path, line_no, fields, (0, 1))
+        vec = np.array(vals[2:])
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise ParseError(path, line_no, f"dimension {vec.size} != first dimension {dim}")
+        n = np.linalg.norm(vec)
+        if not _NORM_MIN <= n < math.inf:
+            raise ParseError(path, line_no, f"embedding of norm {n} cannot be normalized")
+        out[(vals[0], vals[1])] = vec / n
     return out
 
 
@@ -164,35 +192,67 @@ def write_embeddings(emb: dict[tuple[int, int], np.ndarray], path) -> None:
 def parse_cmc_file(path) -> dict[int, Affine2x3]:
     """Lines of `frame r11 r12 tx r21 r22 ty`; missing frames mean identity."""
     out: dict[int, Affine2x3] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 7:
-                raise ParseError(path, line_no, f"expected 7 fields, got {len(fields)}")
-            try:
-                frame = int(fields[0])
-                v = [float(f) for f in fields[1:]]
-            except ValueError:
-                raise ParseError(path, line_no, "non-numeric field") from None
-            out[frame] = Affine2x3(np.array(v).reshape(2, 3))
+    for line_no, line in read_lines(path):
+        fields = line.split()
+        if len(fields) != 7:
+            raise ParseError(path, line_no, f"expected 7 fields, got {len(fields)}")
+        vals = parse_numbers(path, line_no, fields, (0,))
+        out[vals[0]] = Affine2x3(np.array(vals[1:]).reshape(2, 3))
     return out
 
 
-def parse_config(path) -> dict[str, str]:
-    """Flat `key = value` lines; blank lines and `#` comments allowed."""
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(path, line_no, f"expected `key = value`, got {line!r}")
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
-    return out
+def parse_proposals(path) -> list[tuple[int, Proposal]]:
+    """Lines of `x y w h v_hat f1 ... fk` (k >= 1), each paired with its line
+    number so later errors can name it."""
+    props = []
+    for line_no, line in read_lines(path):
+        fields = line.split()
+        if len(fields) < 6:
+            raise ParseError(path, line_no, "expected `x y w h v_hat f1 ...`")
+        vals = parse_numbers(path, line_no, fields, ())
+        try:
+            props.append((line_no, Proposal(BBox(*vals[:4]), np.array(vals[5:]), vals[4])))
+        except ValueError as e:
+            raise ParseError(path, line_no, e) from None
+    return props
+
+
+def load_config(path, *classes) -> tuple:
+    """One instance of each dataclass in ``classes``, built from flat
+    `key = value` lines (blank lines and `#` comments allowed).
+
+    A key goes to every class that declares it and takes that field's type:
+    int fields need integral numbers, float fields finite ones. Unknown and
+    repeated keys are ParseErrors at their line; a class's own range check
+    fails with the path in front.
+    """
+    known, int_keys = set(), set()
+    for cls in classes:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            known.add(f.name)
+            if hints[f.name] is int:
+                int_keys.add(f.name)
+    values: dict[str, int | float] = {}
+    for line_no, line in read_lines(path):
+        if line.startswith("#"):
+            continue
+        key, eq, text = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ParseError(path, line_no, f"expected `key = value`, got {line!r}")
+        if key not in known:
+            raise ParseError(path, line_no, f"unknown key {key!r}")
+        if key in values:
+            raise ParseError(path, line_no, f"repeated key {key!r}")
+        [values[key]] = parse_numbers(path, line_no, [text.strip()],
+                                      (0,) if key in int_keys else ())
+    try:
+        return tuple(cls(**{f.name: values[f.name] for f in dataclasses.fields(cls)
+                            if f.name in values})
+                     for cls in classes)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 # Raw tensor format: magic, u32 H W C little-endian, then C planes of H*W

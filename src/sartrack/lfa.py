@@ -11,13 +11,6 @@ from .core import BBox
 from .motion import Affine2x3
 
 
-def doppler_shift(wavelength: float, dxr_dt: float, dxa_dt: float) -> float:
-    """Doppler shift of a scattering point, Hz."""
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    return (2.0 / wavelength) * (dxr_dt - dxa_dt)
-
-
 def velocity_target(center_t, center_prev, cmc: Affine2x3 | None,
                     delta_f: float) -> float:
     """Camera-compensated center displacement per frame (pixels/frame)."""

@@ -73,11 +73,12 @@ def radon_forward(x, n_angles: int, n_rho: int) -> np.ndarray:
     return out
 
 
-def radon_backproject(y, tau: float, h: int, w: int) -> np.ndarray:
+def radon_backproject(y, tau, h: int, w: int) -> np.ndarray:
     """Spread each above-threshold Radon bin back along its pixel set.
 
-    A pixel receives a bin's value iff its forward mapping at that angle
-    lands in that bin, making tau=0 the exact adjoint of radon_forward.
+    ``tau`` is one threshold or one per channel. A pixel receives a bin's
+    value iff its forward mapping at that angle lands in that bin, making
+    tau=0 the exact adjoint of radon_forward.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 2:
@@ -120,11 +121,6 @@ class FusionParams:
     @classmethod
     def zeros(cls, channels: int) -> "FusionParams":
         return cls(np.zeros((2 * channels, 2 * channels)))
-
-    @classmethod
-    def from_file(cls, path, channels: int) -> "FusionParams":
-        vals = np.loadtxt(path, dtype=float)
-        return cls(vals.reshape(2 * channels, 2 * channels))
 
 
 def gated_fuse(x, a_soft, params: FusionParams) -> np.ndarray:
@@ -170,12 +166,8 @@ def lffm(x, n_angles: int | None = None, n_rho: int | None = None,
         params = FusionParams.zeros(c)
     y = radon_forward(x, n_angles, n_rho)
     if tau is None:
-        taus = default_tau(y)
-        raw = np.concatenate(
-            [radon_backproject(y[:, :, k:k + 1], float(taus[k]), h, w) for k in range(c)],
-            axis=2)
-    else:
-        raw = radon_backproject(y, tau, h, w)
+        tau = default_tau(y)
+    raw = radon_backproject(y, tau, h, w)
     a_soft = soft_normalize(raw)
     z = gated_fuse(x, a_soft, params)
     return z, a_soft

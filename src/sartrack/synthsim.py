@@ -15,7 +15,7 @@ frames could be rendered in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +26,6 @@ CLASS_NAMES = ("car", "ship", "airplane")
 
 SHADOW_VALUE = -1.0
 STREAK_VALUE = 5.0
-
-_SCN_FLOATS = {"speed_min", "speed_max", "size_min", "size_max", "streak_gain",
-               "noise_amplitude", "appearance_flip_speed", "p_toggle"}
-_SCN_INTS = {"seed", "frames", "width", "height", "n_moving", "n_static_occluders"}
 
 
 @dataclass(frozen=True)
@@ -50,22 +46,21 @@ class ScenarioConfig:
     p_toggle: float = 0.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
         if self.n_moving < 0 or self.n_static_occluders < 0:
             raise ValueError("counts must be >= 0")
         if self.speed_max < self.speed_min or self.size_max < self.size_min:
             raise ValueError("empty speed or size range")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioConfig":
-        known = {f.name for f in fields(cls)}
-        kwargs = {}
-        for k, v in d.items():
-            if k not in known:
-                continue
-            kwargs[k] = int(v) if k in _SCN_INTS else float(v)
-        return cls(**kwargs)
+        if self.size_min <= 0:
+            raise ValueError(f"size_min must be > 0, got {self.size_min}")
+        if min(self.width, self.height) < 2 * self.size_max:
+            raise ValueError(f"width and height must be >= 2 * size_max = {2 * self.size_max}, "
+                             f"got {self.width}x{self.height}")
+        if not 0.0 <= self.p_toggle <= 1.0:
+            raise ValueError(f"p_toggle must be in [0,1], got {self.p_toggle}")
 
 
 @dataclass(frozen=True)
@@ -78,17 +73,15 @@ class PerturbConfig:
     clutter_size_max: float = 24.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.p_fn <= 1.0:
             raise ValueError("p_fn must be in [0,1]")
         if self.jitter_sigma < 0 or self.lambda_fp < 0:
             raise ValueError("jitter_sigma and lambda_fp must be >= 0")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PerturbConfig":
-        known = {f.name for f in fields(cls)}
-        kwargs = {k: (int(v) if k == "seed" else float(v))
-                  for k, v in d.items() if k in known}
-        return cls(**kwargs)
+        if not 0.0 < self.clutter_size_min <= self.clutter_size_max:
+            raise ValueError("need 0 < clutter_size_min <= clutter_size_max, got "
+                             f"{self.clutter_size_min} and {self.clutter_size_max}")
 
 
 @dataclass(frozen=True)

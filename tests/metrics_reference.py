@@ -20,7 +20,7 @@ def iou(a: BBox, b: BBox) -> float:
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
-    return inter / (a.area() + b.area() - inter)
+    return inter / (a.w * a.h + b.w * b.h - inter)
 
 
 HOTA_ALPHAS = [round(0.05 * k, 2) for k in range(1, 20)]

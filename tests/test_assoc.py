@@ -9,6 +9,7 @@ from sartrack.assoc import (AssociationResult, Lifecycle, Track, Tracker,
                             TrackerConfig, appearance_cost, hungarian, iou_cost,
                             maa_fuse, track_sequence)
 from sartrack.core import BBox, Detection
+from sartrack.io import load_config
 from sartrack.metrics import clear_mot
 
 
@@ -295,14 +296,17 @@ def test_perfect_replay_is_bijective():
     assert mota == 1.0 and idsw == 0
 
 
-def test_tracker_config_validation():
+def test_tracker_config_validation(tmp_path):
     with pytest.raises(ValueError):
         TrackerConfig(tau_low=0.7, tau_high=0.6)
+    path = tmp_path / "cfg.txt"
+    path.write_text("bogus_key = 1\n")
     with pytest.raises(ValueError):
-        TrackerConfig.from_dict({"bogus_key": "1"})
+        load_config(path, TrackerConfig)
     for bad in ({"n_init": 0}, {"n_init": -1}, {"max_age": -1}, {"max_age": -5}):
         with pytest.raises(ValueError):
             TrackerConfig(**bad)
     assert TrackerConfig(n_init=1, max_age=0).max_age == 0
-    cfg = TrackerConfig.from_dict({"tau_high": "0.7", "n_init": "3"})
+    path.write_text("tau_high = 0.7\nn_init = 3\n")
+    (cfg,) = load_config(path, TrackerConfig)
     assert cfg.tau_high == 0.7 and cfg.n_init == 3

@@ -129,6 +129,7 @@ def test_eval_out_of_range_frames(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--gt", str(gt), "--res", str(res))
     assert code == 2
     assert "range" in err
+    assert str(gt) in err and str(res) in err
 
 
 def test_eval_human_readable_aligned(capsys, tmp_path):
@@ -186,6 +187,15 @@ def test_synth_unknown_config_key_is_data_error(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_synth_clutter_larger_than_canvas_is_data_error(capsys, tmp_path):
+    cfg = tmp_path / "scenario.txt"
+    cfg.write_text("frames = 2\nwidth = 64\nheight = 64\nsize_max = 10\n"
+                   "lambda_fp = 3\nclutter_size_max = 100\n")
+    code, _, err = run(capsys, "synth", "--config", str(cfg), "--out-dir", str(tmp_path / "s"))
+    assert code == 2
+    assert str(cfg) in err and "clutter_size_max" in err
+
+
 def test_lineops_on_pgm(capsys, tmp_path):
     img = np.zeros((16, 16), dtype=np.uint8)
     img[8, :] = 255
@@ -234,6 +244,11 @@ def test_lfa_demo(capsys, tmp_path):
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 2
     assert all(len(line.split()) >= 6 for line in lines)
+    props.write_text("2 2 4 4 0.0 1 2\n\n30 30 4 4 0.5 1 2\n")
+    code, _, err = run(capsys, "lfa-demo", "--asoft", str(src),
+                       "--proposals", str(props), "--out", str(out))
+    assert code == 2
+    assert f"{props}:3: center" in err and "outside" in err
 
 
 def test_render(capsys, scenario_dir, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metrics_reference import iou as scalar_iou
-from sartrack.core import BBox, Detection, FrameWindow, TrajectorySet, iou
+from sartrack.core import BBox, Detection, TrajectorySet, iou
 
 
 def iou1(a, b):
@@ -92,10 +92,3 @@ def test_trajectory_set_invariants():
     assert ts.frames() == [1, 2, 3]
     assert [tid for tid, _ in ts.boxes_by_frame()[1]] == [1]
 
-
-def test_frame_window():
-    FrameWindow(3, (4, 5, 6))
-    with pytest.raises(ValueError):
-        FrameWindow(3, (4, 5, 7))
-    with pytest.raises(ValueError):
-        FrameWindow(2, (4, 5, 6))

@@ -1,12 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
+from sartrack.assoc import TrackerConfig
 from sartrack.core import BBox, TrajectorySet
-from sartrack.io import (MotRecord, ParseError, id_color, parse_cmc_file,
-                         parse_config, parse_embeddings, parse_mot_file,
-                         read_pgm, read_tensor, records_to_detections,
-                         records_to_trajectories, render_frame, write_mot_file,
-                         write_pgm, write_tensor)
+from sartrack.io import (MotRecord, ParseError, id_color, load_config,
+                         parse_cmc_file, parse_embeddings, parse_mot_file,
+                         parse_proposals, read_pgm, read_tensor,
+                         records_to_detections, records_to_trajectories,
+                         render_frame, write_mot_file, write_pgm, write_tensor)
 
 
 def test_parse_basic_nine_column(tmp_path):
@@ -38,13 +41,21 @@ def test_parse_empty_file(tmp_path):
     ("1,-1,10,20,0,40,0.9,1,-1", "nonpositive"),
     ("1,-1,10,20,30,-4,0.9,1,-1", "nonpositive"),
     ("1,-1,10,20,30,40,0.9,1", "columns"),
+    ("1,-1,10,20,30,40,0.9,1,-1,1.5", "motion awareness"),
+    ("1,-1,10,20,30,40,0.9,1,-1,-0.1", "motion awareness"),
+    ("2.5,-1,10,20,30,40,0.9,1,-1", "integer"),
+    ("1,2.7,10,20,30,40,0.9,1,-1", "integer"),
+    ("1,-1,10,20,30,40,0.9,1.5,-1", "integer"),
+    ("1,-1,nan,20,30,40,0.9,1,-1", "non-finite"),
+    ("1,-1,10,20,1e999,40,0.9,1,-1", "non-finite"),
+    ("1,-1,10,20,30,40,0.9,1,-1\u00e9", "non-ASCII"),
 ])
 def test_parse_rejects_malformed(tmp_path, line, fragment):
     p = tmp_path / "bad.txt"
-    p.write_text(line + "\n")
+    p.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(ParseError) as exc:
         parse_mot_file(p)
-    assert ":1:" in str(exc.value)
+    assert f"{p}:1:" in str(exc.value)
     assert fragment in str(exc.value)
 
 
@@ -110,14 +121,17 @@ def test_parse_embeddings(tmp_path):
     assert set(emb) == {(1, 0), (2, 1)}
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_parse_embeddings_errors(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("1 0 3 4\n2 1 1 2 3\n")
     with pytest.raises(ParseError):
         parse_embeddings(p)
-    p.write_text("1 0 0 0\n")
-    with pytest.raises(ParseError):
-        parse_embeddings(p)
+    for text in ("1 0 0 0\n", "1 0 1e-160 1e-160\n", "1 0 1e200 1e200\n",
+                 "1 0.5 1 0\n", "1 0\n", "1 0 nan 1\n"):
+        p.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{p}:1:")):
+            parse_embeddings(p)
 
 
 def test_parse_cmc(tmp_path):
@@ -126,15 +140,60 @@ def test_parse_cmc(tmp_path):
     cmc = parse_cmc_file(p)
     np.testing.assert_allclose(cmc[1].apply((0, 0)), [5, -2])
     assert 2 not in cmc
+    for text in ("1 1 0 nan 0 1 0\n", "1 1 0 1e999 0 1 0\n", "1.5 1 0 0 0 1 0\n"):
+        p.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{p}:1:")):
+            parse_cmc_file(p)
+
+
+def test_parse_proposals(tmp_path):
+    p = tmp_path / "props.txt"
+    p.write_text("2 2 4 4 0.0 1 2\n\n10 10 4 4 1.0 3\n")
+    [(l1, a), (l2, b)] = parse_proposals(p)
+    assert (l1, l2) == (1, 3)
+    assert (a.bbox, a.v_hat) == (BBox(2, 2, 4, 4), 0.0)
+    np.testing.assert_array_equal(b.feature, [3.0])
+    for text in ("1 1 4 4 0.5\n", "1 1 4 x 0.5 1\n", "1 1 0 4 0.5 1\n", "1 1 4 4 1.5 1\n"):
+        p.write_text("2 2 4 4 0.0 1 2\n" + text)
+        with pytest.raises(ParseError, match=re.escape(f"{p}:2:")):
+            parse_proposals(p)
 
 
 def test_parse_config(tmp_path):
     p = tmp_path / "cfg.txt"
     p.write_text("# comment\ntau_high = 0.7\nn_init=3\n")
-    assert parse_config(p) == {"tau_high": "0.7", "n_init": "3"}
+    (cfg,) = load_config(p, TrackerConfig)
+    assert (cfg.tau_high, cfg.n_init) == (0.7, 3) and type(cfg.n_init) is int
     p.write_text("no equals sign\n")
     with pytest.raises(ParseError):
-        parse_config(p)
+        load_config(p, TrackerConfig)
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("tau_high = 0.7\nno_such_knob = 1\n", ":2: unknown key"),
+    ("n_init = 2\n\nn_init = 3\n", ":3: repeated key"),
+    ("n_init = 2.5\n", ":1: expected an integer"),
+    ("tau_high = abc\n", ":1: non-numeric"),
+    ("tau_high =\n", ":1: non-numeric"),
+    ("tau_high = nan\n", ":1: non-finite"),
+    ("tau_high = 1e999\n", ":1: non-finite"),
+    ("# caf\u00e9\n", ":1: non-ASCII"),
+    ("tau_high = 1.5\n", ": need 0 <= tau_low < tau_high <= 1"),
+])
+def test_load_config_errors_name_the_file(tmp_path, text, fragment):
+    p = tmp_path / "cfg.txt"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_config(p, TrackerConfig)
+    assert str(exc.value).startswith(f"{p}{fragment}")
+
+
+def test_load_config_int_fields_accept_float_spelling(tmp_path):
+    p = tmp_path / "cfg.txt"
+    p.write_text("n_init = 3.0\nmax_age = 1e2\nlambda_app = 0\n")
+    (cfg,) = load_config(p, TrackerConfig)
+    assert (cfg.n_init, cfg.max_age, cfg.lambda_app) == (3, 100, 0.0)
+    assert type(cfg.n_init) is int and type(cfg.lambda_app) is float
 
 
 def test_tensor_round_trip(tmp_path):

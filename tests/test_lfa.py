@@ -3,17 +3,9 @@ import pytest
 
 from sartrack.core import BBox
 from sartrack.lfa import (LfaConfig, Proposal, TwoLayerMlp, adaptive_radius,
-                          doppler_shift, enhance_proposal, neighborhood_pool,
-                          normalize_velocities, velocity_target)
+                          enhance_proposal, neighborhood_pool, normalize_velocities,
+                          velocity_target)
 from sartrack.motion import Affine2x3
-
-
-def test_doppler_shift_values():
-    assert doppler_shift(0.03, 15, 0) == pytest.approx(1000.0)
-    assert doppler_shift(0.1, 7, 7) == 0.0
-    assert doppler_shift(0.05, -3, -1) == -doppler_shift(0.05, 3, 1)
-    with pytest.raises(ValueError):
-        doppler_shift(0.0, 1, 1)
 
 
 def test_velocity_target():

@@ -117,6 +117,12 @@ def test_backproject_monotone_in_tau():
     a_low = radon_backproject(y, 0.5, 8, 8)
     a_high = radon_backproject(y, 2.0, 8, 8)
     assert np.all(a_low >= a_high)
+    # One threshold per channel equals one call per channel, bitwise.
+    y3 = radon_forward(rng.random((8, 8, 3)), 6, 10)
+    taus = np.array([0.5, 1.0, 2.0])
+    per_channel = np.concatenate(
+        [radon_backproject(y3[:, :, k:k + 1], float(taus[k]), 8, 8) for k in range(3)], axis=2)
+    assert np.array_equal(radon_backproject(y3, taus, 8, 8), per_channel)
 
 
 def test_soft_normalize_constant_and_sum():

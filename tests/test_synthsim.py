@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sartrack.io import load_config
 from sartrack.synthsim import (PerturbConfig, ScenarioConfig, SHADOW_VALUE,
                                STREAK_VALUE, generate_scene, perturb_detections)
 
@@ -143,10 +144,22 @@ def test_config_validation():
         ScenarioConfig(speed_min=3, speed_max=2)
     with pytest.raises(ValueError):
         PerturbConfig(p_fn=1.5)
+    for bad in ({"width": 30}, {"height": 39}, {"size_min": 0}, {"size_min": -1},
+                {"p_toggle": 1.5}, {"p_toggle": -0.1}, {"seed": -1}):
+        with pytest.raises(ValueError):
+            ScenarioConfig(**bad)
+    assert ScenarioConfig(width=40, height=40, p_toggle=1.0).width == 40
+    for bad in ({"clutter_size_min": 0}, {"clutter_size_min": -2},
+                {"clutter_size_min": 30}, {"seed": -1}):
+        with pytest.raises(ValueError):
+            PerturbConfig(**bad)
+    assert PerturbConfig(clutter_size_min=24).clutter_size_min == 24
 
 
-def test_config_from_dict_ignores_foreign_keys():
-    cfg = ScenarioConfig.from_dict({"frames": "7", "speed_max": "6", "p_fn": "0.1"})
+def test_load_config_gives_each_class_its_keys(tmp_path):
+    path = tmp_path / "scenario.txt"
+    path.write_text("frames = 7\nspeed_max = 6\np_fn = 0.1\nseed = 3\n")
+    cfg, pc = load_config(path, ScenarioConfig, PerturbConfig)
     assert cfg.frames == 7 and cfg.speed_max == 6.0
-    pc = PerturbConfig.from_dict({"p_fn": "0.1", "frames": "7"})
     assert pc.p_fn == 0.1
+    assert cfg.seed == pc.seed == 3
