@@ -4,13 +4,14 @@ Hungarian assignment, and track lifecycle management.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import BBox, Detection, TrajectorySet, iou
-from .motion import Affine2x3, apply_cmc, kf_init, kf_predict, kf_update
+from .core import BBox, Detection, TrajectorySet, as_xywh, iou
+from .motion import (Affine2x3, apply_cmc, boxes_to_measurements, kf_init,
+                     kf_predict, kf_update, means_to_boxes)
 
 # Large finite cost marking forbidden pairs (cross-class); always above any
 # match threshold, kept finite so the assignment solver stays feasible.
@@ -63,12 +64,7 @@ class Track:
         self.ema_embedding = None if det.embedding is None else det.embedding.copy()
         self.v_ema = det.motion_awareness if det.motion_awareness is not None else 0.0
         self.lifecycle = Lifecycle.CONFIRMED if cfg.n_init <= 1 else Lifecycle.TENTATIVE
-        self.ever_confirmed = self.lifecycle is Lifecycle.CONFIRMED
         self.history: list[tuple[int, BBox]] = [(det.frame, det.bbox)]
-
-    def mark_confirmed(self):
-        self.lifecycle = Lifecycle.CONFIRMED
-        self.ever_confirmed = True
 
 
 @dataclass(frozen=True)
@@ -138,29 +134,21 @@ def _class_mask(cost: np.ndarray, track_cls: np.ndarray, dets: list[Detection]) 
     return np.where(track_cls[:, None] != d_cls[None, :], FORBIDDEN_COST, cost)
 
 
-def _predicted_xywh(mean: np.ndarray) -> np.ndarray:
-    """(N, 8) Kalman means -> (N, 4) predicted (x, y, w, h) boxes, with the
-    aspect ratio and height clamped positive."""
-    a = np.maximum(mean[:, 2], 1e-6)
-    h = np.maximum(mean[:, 3], 1e-6)
-    w = a * h
-    return np.stack([mean[:, 0] - w / 2.0, mean[:, 1] - h / 2.0, w, h], axis=1)
-
-
 class Tracker:
     """Frame-by-frame tracker state for one sequence.
 
-    Kalman state lives in two arrays, `mean` (N, 8) and `cov` (N, 8, 8),
-    whose rows follow `_live`, the tracks not yet removed, in creation
-    order. `tracks` holds the live tracks plus the removed ones that ever
-    confirmed; a track that never confirmed is dropped once removed.
+    `tracks` holds the live tracks, those not yet removed, in creation
+    order; row i of `mean` (N, 8) and `cov` (N, 8, 8) is the Kalman state of
+    `tracks[i]`. A removed track is marked REMOVED and leaves the list. If
+    it had confirmed (it was LOST), its id and history go to the finished
+    trajectories; a TENTATIVE one is dropped.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None, use_maa: bool = True):
         self.cfg = cfg or TrackerConfig()
         self.use_maa = use_maa
         self.tracks: list[Track] = []
-        self._live: list[Track] = []
+        self._finished: list[tuple[int, list[tuple[int, BBox]]]] = []
         self.mean = np.zeros((0, 8))
         self.cov = np.zeros((0, 8, 8))
         self._next_id = 1
@@ -168,7 +156,7 @@ class Tracker:
 
     def _update_tracks(self, matched_pairs: list[tuple[int, Detection, bool]]):
         rows = [r for r, _, _ in matched_pairs]
-        z = np.array([d.bbox.to_cxcyah() for _, d, _ in matched_pairs])
+        z = boxes_to_measurements(as_xywh([d.bbox for _, d, _ in matched_pairs]))
         mean, cov = kf_update(self.mean[rows], self.cov[rows], z)
         self.mean[rows], self.cov[rows] = mean, cov
         speeds = np.hypot(mean[:, 4], mean[:, 5])
@@ -178,14 +166,12 @@ class Tracker:
         self._speed_max = speed_max[-1]
         a, va = self.cfg.ema_alpha, self.cfg.v_ema_alpha
         for (r, d, gate_active), speed, smax in zip(matched_pairs, speeds, speed_max[1:]):
-            t = self._live[r]
+            t = self.tracks[r]
             t.hits += 1
             t.age_since_update = 0
             t.history.append((d.frame, d.bbox))
-            if t.lifecycle is Lifecycle.LOST:
-                t.mark_confirmed()
-            elif t.lifecycle is Lifecycle.TENTATIVE and t.hits >= self.cfg.n_init:
-                t.mark_confirmed()
+            if t.lifecycle is Lifecycle.LOST or t.hits >= self.cfg.n_init:
+                t.lifecycle = Lifecycle.CONFIRMED
             # Appearance EMA is frozen while the gate fires so defocused looks
             # never contaminate the track's appearance model.
             if d.embedding is not None and not gate_active:
@@ -210,12 +196,12 @@ class Tracker:
         if any(d.frame != frame for d in detections):
             raise ValueError("detections from mixed frames")
 
-        live = self._live
+        live = self.tracks
         if live:
             if cmc is not None:
                 self.mean, self.cov = apply_cmc(self.mean, self.cov, cmc)
             self.mean, self.cov = kf_predict(self.mean, self.cov)
-        pred_boxes = _predicted_xywh(self.mean)
+        pred_boxes = means_to_boxes(self.mean)
         classes = np.array([t.class_id for t in live])
 
         high = [d for d in detections if d.score >= cfg.tau_high]
@@ -273,7 +259,7 @@ class Tracker:
                    if live[r].lifecycle is Lifecycle.CONFIRMED]
 
         # Age out everything that went unmatched this frame; removed tracks
-        # leave the state arrays, and the track list too if never confirmed.
+        # leave the track list and the state arrays.
         for r, t in enumerate(live):
             if r in matched_rows:
                 continue
@@ -284,33 +270,32 @@ class Tracker:
                 t.lifecycle = Lifecycle.LOST
             elif t.lifecycle is Lifecycle.LOST and t.age_since_update > cfg.max_age:
                 t.lifecycle = Lifecycle.REMOVED
+                self._finished.append((t.id, t.history))
         keep = [t.lifecycle is not Lifecycle.REMOVED for t in live]
         if not all(keep):
-            self._live = [t for t, k in zip(live, keep) if k]
+            self.tracks = [t for t, k in zip(live, keep) if k]
             self.mean, self.cov = self.mean[keep], self.cov[keep]
-            self.tracks = [t for t in self.tracks
-                           if t.ever_confirmed or t.lifecycle is not Lifecycle.REMOVED]
 
         # Spawn fresh tracks from leftover high-score detections.
         if rest_high:
-            states = []
+            z = boxes_to_measurements(as_xywh([d.bbox for d in rest_high]))
             for d in rest_high:
                 t = Track(self._next_id, d, cfg)
                 self._next_id += 1
                 self.tracks.append(t)
-                self._live.append(t)
-                states.append(kf_init(d.bbox.to_cxcyah()))
                 if t.lifecycle is Lifecycle.CONFIRMED:
                     emitted.append((t.id, d.bbox))
-            means, covs = zip(*states)
+            means, covs = zip(*map(kf_init, z))
             self.mean = np.concatenate([self.mean, means])
             self.cov = np.concatenate([self.cov, covs])
         return emitted
 
     def trajectories(self) -> TrajectorySet:
-        """All boxes of tracks that ever confirmed, earliest frames included."""
-        out = [(t.id, t.history) for t in self.tracks if t.ever_confirmed]
-        return TrajectorySet.build(out)
+        """All boxes of tracks that ever confirmed, earliest frames included,
+        in id order."""
+        out = self._finished + [(t.id, t.history) for t in self.tracks
+                                if t.lifecycle is not Lifecycle.TENTATIVE]
+        return TrajectorySet.build(sorted(out, key=lambda p: p[0]))
 
 
 def track_sequence(frame_detections: dict[int, list[Detection]],

@@ -34,17 +34,9 @@ class BBox:
     def center(self) -> tuple[float, float]:
         return (self.cx, self.cy)
 
-    def to_cxcyah(self) -> tuple[float, float, float, float]:
-        """(center x, center y, aspect ratio w/h, height)."""
-        return (self.cx, self.cy, self.w / self.h, self.h)
 
-    @classmethod
-    def from_cxcyah(cls, cx: float, cy: float, a: float, h: float) -> "BBox":
-        w = a * h
-        return cls(cx - w / 2.0, cy - h / 2.0, w, h)
-
-
-def _xywh(boxes) -> np.ndarray:
+def as_xywh(boxes) -> np.ndarray:
+    """A sequence of BBox, or an array of (x, y, w, h) rows, as (N, 4)."""
     if isinstance(boxes, np.ndarray):
         return boxes.reshape(-1, 4)
     return np.array([(r.x, r.y, r.w, r.h) for r in boxes], dtype=float).reshape(-1, 4)
@@ -54,7 +46,7 @@ def iou(boxes_a, boxes_b) -> np.ndarray:
     """Pairwise intersection-over-union of two box sets, each a sequence of
     BBox or an (N, 4) array of (x, y, w, h) rows; shape
     (len(boxes_a), len(boxes_b)), values in [0, 1]."""
-    a, b = _xywh(boxes_a), _xywh(boxes_b)
+    a, b = as_xywh(boxes_a), as_xywh(boxes_b)
     ix = (np.minimum((a[:, 0] + a[:, 2])[:, None], (b[:, 0] + b[:, 2])[None, :])
           - np.maximum(a[:, None, 0], b[None, :, 0])).clip(min=0.0)
     iy = (np.minimum((a[:, 1] + a[:, 3])[:, None], (b[:, 1] + b[:, 3])[None, :])

@@ -99,6 +99,10 @@ def parse_numbers(path, line_no, fields, int_cols) -> list:
 
 _MOT_INT_COLS = (0, 1, 7)
 
+# Largest |x|, |y|, w or h of a MOT box, in pixels: far beyond any frame, yet
+# small enough that box areas, IoU and Kalman covariances stay finite.
+_COORD_MAX = 1e9
+
 
 def parse_mot_file(path) -> list[MotRecord]:
     """Records sorted by frame (stable); 9 or 10 comma-separated columns."""
@@ -112,6 +116,8 @@ def parse_mot_file(path) -> list[MotRecord]:
             raise ParseError(path, line_no, f"frame must be >= 1, got {vals[0]}")
         if vals[4] <= 0 or vals[5] <= 0:
             raise ParseError(path, line_no, f"nonpositive box size {vals[4]}x{vals[5]}")
+        if max(abs(vals[2]), abs(vals[3]), vals[4], vals[5]) > _COORD_MAX:
+            raise ParseError(path, line_no, f"box coordinate beyond {_COORD_MAX:.0f} px")
         if len(vals) == 10 and not 0.0 <= vals[9] <= 1.0:
             raise ParseError(path, line_no, f"motion awareness must be in [0,1], got {vals[9]}")
         records.append(MotRecord(*vals))

@@ -37,13 +37,13 @@ def _rho_bins(h: int, w: int, n_angles: int, n_rho: int) -> np.ndarray:
     diag = math.hypot(h, w)
     d_theta = math.pi / n_angles
     d_rho = diag / n_rho
-    ys, xs = np.mgrid[0:h, 0:w]
-    xc = xs - (w - 1) / 2.0
-    yc = ys - (h - 1) / 2.0
+    xc = np.arange(w) - (w - 1) / 2.0
+    yc = (np.arange(h) - (h - 1) / 2.0)[:, None]
     thetas = np.arange(n_angles) * d_theta
-    rho = (np.cos(thetas)[:, None, None] * xc[None] +
-           np.sin(thetas)[:, None, None] * yc[None])
-    idx = np.floor((rho + diag / 2.0) / d_rho).astype(np.intp)
+    # Filled one angle at a time, so only (h, w) float temporaries exist.
+    idx = np.empty((n_angles, h, w), dtype=np.intp)
+    for a, (cos_t, sin_t) in enumerate(zip(np.cos(thetas), np.sin(thetas))):
+        idx[a] = np.floor((cos_t * xc + sin_t * yc + diag / 2.0) / d_rho)
     np.clip(idx, 0, n_rho - 1, out=idx)
     idx.setflags(write=False)
     return idx

@@ -1,10 +1,12 @@
 """Constant-velocity Kalman filtering on (cx, cy, a, h) boxes plus global
 camera-motion compensation of predicted states.
 
-The filter runs on stacks: (N, 8) means and (N, 8, 8) covariances, one row
-per track, so a frame costs one predict and one update call. Noise scaling
-follows the SORT/ByteTrack convention: position stds weighted by h/20,
-velocity stds by h/160.
+This module alone knows the (cx, cy, a, h) state layout: callers turn
+(x, y, w, h) boxes into measurements with `boxes_to_measurements` and read
+predicted boxes back with `means_to_boxes`. The filter runs on stacks:
+(N, 8) means and (N, 8, 8) covariances, one row per track, so a frame costs
+one predict and one update call. Noise scaling follows the SORT/ByteTrack
+convention: position stds weighted by h/20, velocity stds by h/160.
 """
 from __future__ import annotations
 
@@ -59,6 +61,21 @@ _Q_W = np.array([_W_POS, _W_POS, 0.0, _W_POS, _W_VEL, _W_VEL, 0.0, _W_VEL])
 _INIT_W = _Q_W * [2.0, 2.0, 0.0, 2.0, 10.0, 10.0, 0.0, 10.0]
 _Q_FIXED = np.array([0.0, 0.0, 1e-2, 0.0, 0.0, 0.0, 1e-5, 0.0])
 _R_FIXED = np.array([0.0, 0.0, 1e-1, 0.0])
+
+
+def boxes_to_measurements(boxes: np.ndarray) -> np.ndarray:
+    """(N, 4) x, y, w, h boxes -> (N, 4) cx, cy, a, h measurements."""
+    x, y, w, h = boxes.T
+    return np.stack([x + w / 2.0, y + h / 2.0, w / h, h], axis=1)
+
+
+def means_to_boxes(mean: np.ndarray) -> np.ndarray:
+    """(N, 8) means -> (N, 4) x, y, w, h boxes, with the aspect ratio and
+    height clamped positive."""
+    a = np.maximum(mean[:, 2], 1e-6)
+    h = np.maximum(mean[:, 3], 1e-6)
+    w = a * h
+    return np.stack([mean[:, 0] - w / 2.0, mean[:, 1] - h / 2.0, w, h], axis=1)
 
 
 def kf_init(measurement) -> tuple[np.ndarray, np.ndarray]:

@@ -165,7 +165,6 @@ def generate_scene(cfg: ScenarioConfig) -> Scene:
     embeddings: dict[tuple[int, int], np.ndarray] = {}
     raw_vel: dict[tuple[int, int], float] = {}
     prev_center: dict[int, tuple[float, float]] = {}
-    speeds: dict[tuple[int, int], float] = {}
 
     for f in range(1, cfg.frames + 1):
         img = noise_rngs[f - 1].uniform(0.0, cfg.noise_amplitude,
@@ -185,7 +184,6 @@ def generate_scene(cfg: ScenarioConfig) -> Scene:
                     t["cy"], t["dy"] = _reflect(t["cy"], t["dy"], t["h"] / 2,
                                                 cfg.height - t["h"] / 2)
             speed_now = t["speed"] if t["moving"] else 0.0
-            speeds[(t["id"], f)] = speed_now
             _draw_rect(img, t["cx"], t["cy"], t["w"], t["h"], SHADOW_VALUE)
             if speed_now > 0 and cfg.streak_gain > 0:
                 off = cfg.streak_gain * speed_now

@@ -230,6 +230,9 @@ def test_tracker_invariants_on_random_streams(seed, n_frames, n_init, max_age, u
         assert len(ids) == len(set(ids))
         assert all(b in {d.bbox for d in dets} for _, b in out)
         assert not removed & set(ids)
+        # `tracks` holds live tracks only, one per state-array row.
+        assert all(t.lifecycle is not Lifecycle.REMOVED for t in tracker.tracks)
+        assert len(tracker.tracks) == len(tracker.mean) == len(tracker.cov)
         for t in tracker.tracks:
             assert owner.setdefault(t.id, t) is t  # an id names one track only
         gone = set(owner) - {t.id for t in tracker.tracks}

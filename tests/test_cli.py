@@ -61,6 +61,29 @@ def test_track_malformed_det_names_line(capsys, tmp_path):
     assert ":2:" in err
 
 
+@pytest.mark.parametrize("lines", [
+    ["1,-1,1e308,10,1e308,10,0.9,0,-1", "1,-1,5,5,3e301,10,0.9,0,-1"],
+    [f"{f},-1,1e200,10,1e200,1e200,0.9,0,-1" for f in (1, 2, 3)],
+])
+def test_track_huge_box_names_line(capsys, tmp_path, lines):
+    bad = tmp_path / "det.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "track", "--det", str(bad),
+                       "--out", str(tmp_path / "out.txt"))
+    assert code == 2
+    assert err.startswith(f"sartrack: error: {bad}:1: box coordinate beyond")
+
+
+def test_eval_huge_box_names_line(capsys, tmp_path):
+    gt = tmp_path / "gt.txt"
+    res = tmp_path / "res.txt"
+    gt.write_text("1,1,5,5,4,4,1,0,1\n1,2,1e308,10,1e308,10,1,0,1\n")
+    res.write_text(gt.read_text())
+    code, _, err = run(capsys, "eval", "--gt", str(gt), "--res", str(res))
+    assert code == 2
+    assert err.startswith(f"sartrack: error: {gt}:2: box coordinate beyond")
+
+
 def test_track_bad_config_key(capsys, tmp_path):
     write_perfect_sequence(tmp_path)
     cfg = tmp_path / "cfg.txt"

@@ -46,20 +46,6 @@ def test_iou_matrix_equals_scalar_formula_bitwise():
         assert np.array_equal(got, want)
 
 
-def test_conversion_examples():
-    assert BBox(0, 0, 2, 4).to_cxcyah() == (1, 2, 0.5, 4)
-    assert BBox(5, 5, 10, 10).to_cxcyah() == (10, 10, 1, 10)
-
-
-def test_conversion_round_trip():
-    rng = np.random.default_rng(11)
-    for _ in range(1000):
-        b = BBox(*rng.uniform(-100, 100, 2), *rng.uniform(0.1, 80, 2))
-        back = BBox.from_cxcyah(*b.to_cxcyah())
-        for orig, rec in zip((b.x, b.y, b.w, b.h), (back.x, back.y, back.w, back.h)):
-            assert abs(orig - rec) < 1e-9
-
-
 def test_bbox_rejects_degenerate():
     with pytest.raises(ValueError):
         BBox(0, 0, 0, 1)

@@ -49,6 +49,11 @@ def test_parse_empty_file(tmp_path):
     ("1,-1,nan,20,30,40,0.9,1,-1", "non-finite"),
     ("1,-1,10,20,1e999,40,0.9,1,-1", "non-finite"),
     ("1,-1,10,20,30,40,0.9,1,-1\u00e9", "non-ASCII"),
+    ("1,-1,1e308,10,1e308,10,0.9,0,-1", "beyond 1000000000 px"),
+    ("1,-1,5,5,3e301,10,0.9,0,-1", "beyond 1000000000 px"),
+    ("1,-1,1e200,10,1e200,1e200,0.9,0,-1", "beyond 1000000000 px"),
+    ("1,-1,-1000000001,20,30,40,0.9,1,-1", "beyond 1000000000 px"),
+    ("1,-1,10,20,30,1000000001,0.9,1,-1", "beyond 1000000000 px"),
 ])
 def test_parse_rejects_malformed(tmp_path, line, fragment):
     p = tmp_path / "bad.txt"
@@ -57,6 +62,13 @@ def test_parse_rejects_malformed(tmp_path, line, fragment):
         parse_mot_file(p)
     assert f"{p}:1:" in str(exc.value)
     assert fragment in str(exc.value)
+
+
+def test_parse_accepts_coordinates_at_the_bound(tmp_path):
+    p = tmp_path / "det.txt"
+    p.write_text("1,-1,-1e9,1e9,1e9,1e9,0.9,0,-1\n")
+    [r] = parse_mot_file(p)
+    assert (r.x, r.y, r.w, r.h) == (-1e9, 1e9, 1e9, 1e9)
 
 
 def test_write_single_track_line(tmp_path):

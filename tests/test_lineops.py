@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sartrack.lineops import (FusionParams, default_bins, gated_fuse, lffm,
-                              radon_backproject, radon_forward, soft_normalize)
+from sartrack.lineops import (FusionParams, _rho_bins, default_bins, gated_fuse,
+                              lffm, radon_backproject, radon_forward,
+                              soft_normalize)
 
 
 def brute_force_radon(x, n_angles, n_rho):
@@ -25,6 +26,31 @@ def brute_force_radon(x, n_angles, n_rho):
                 rb = min(max(rb, 0), n_rho - 1)
                 out[a, rb] += x[yy, xx]
     return out
+
+
+def vectorized_rho_bins(h, w, n_angles, n_rho):
+    """The bin table built in one (n_angles, h, w) float pass, frozen as the
+    per-angle build's reference."""
+    diag = math.hypot(h, w)
+    d_theta = math.pi / n_angles
+    d_rho = diag / n_rho
+    ys, xs = np.mgrid[0:h, 0:w]
+    xc = xs - (w - 1) / 2.0
+    yc = ys - (h - 1) / 2.0
+    thetas = np.arange(n_angles) * d_theta
+    rho = (np.cos(thetas)[:, None, None] * xc[None] +
+           np.sin(thetas)[:, None, None] * yc[None])
+    idx = np.floor((rho + diag / 2.0) / d_rho).astype(np.intp)
+    np.clip(idx, 0, n_rho - 1, out=idx)
+    return idx
+
+
+@pytest.mark.parametrize("h,w", [(1, 1), (5, 9), (17, 23), (32, 32)])
+def test_rho_bins_equal_vectorized_formula(h, w):
+    for n_angles, n_rho in (default_bins(h, w), (7, 11), (1, 1), (13, 200)):
+        got = _rho_bins(h, w, n_angles, n_rho)
+        assert got.dtype == np.intp and not got.flags.writeable
+        assert np.array_equal(got, vectorized_rho_bins(h, w, n_angles, n_rho))
 
 
 def test_forward_zero_map():

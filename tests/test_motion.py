@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sartrack.motion import Affine2x3, apply_cmc, kf_init, kf_predict, kf_update
+from sartrack.motion import (Affine2x3, apply_cmc, boxes_to_measurements, kf_init,
+                             kf_predict, kf_update, means_to_boxes)
 
 
 def init1(z):
@@ -16,6 +17,27 @@ def predict1(s):
 
 def update1(s, z):
     return kf_update(*s, np.asarray(z, dtype=float)[None])
+
+
+def test_conversion_examples():
+    z = boxes_to_measurements(np.array([[0.0, 0.0, 2.0, 4.0], [5.0, 5.0, 10.0, 10.0]]))
+    assert z.tolist() == [[1, 2, 0.5, 4], [10, 10, 1, 10]]
+
+
+def test_conversion_round_trip():
+    rng = np.random.default_rng(11)
+    boxes = np.array([[*rng.uniform(-100, 100, 2), *rng.uniform(0.1, 80, 2)]
+                      for _ in range(1000)])
+    mean = np.zeros((len(boxes), 8))
+    mean[:, :4] = boxes_to_measurements(boxes)
+    assert np.all(np.abs(means_to_boxes(mean) - boxes) < 1e-9)
+
+
+def test_means_to_boxes_clamps_aspect_and_height():
+    mean = np.zeros((1, 8))
+    mean[0, :4] = (10.0, 20.0, -1.0, 0.0)
+    want = [[10.0 - 1e-12 / 2.0, 20.0 - 1e-6 / 2.0, 1e-12, 1e-6]]
+    assert means_to_boxes(mean).tolist() == want
 
 
 def test_init_zero_velocity_and_spd_cov():

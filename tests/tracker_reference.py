@@ -1,9 +1,11 @@
 """Frozen reference for the equivalence tests: the per-track Kalman filter
 (`motion.py`) and the tracker (`assoc.py`) as they were when every track held
 its own frozen `KalmanState` and was predicted and updated one at a time,
-kept verbatim apart from this docstring and the merged imports.
-`Affine2x3`, `TrackerConfig`, `FORBIDDEN_COST` and the box kernel come from
-the library, and `track_sequence` is left out. Test-only; do not change it
+kept verbatim apart from this docstring, the merged imports and the two
+box conversions, `_to_cxcyah` and `_from_cxcyah`, inlined from the former
+`BBox` methods with the same arithmetic. `Affine2x3`, `TrackerConfig`,
+`FORBIDDEN_COST` and the box kernel come from the library, and
+`track_sequence` is left out. Test-only; do not change it
 to follow the library.
 """
 from __future__ import annotations
@@ -26,6 +28,16 @@ class NoiseProfile:
 
 
 DEFAULT_NOISE = NoiseProfile()
+
+
+def _to_cxcyah(b: BBox) -> tuple[float, float, float, float]:
+    return (b.x + b.w / 2.0, b.y + b.h / 2.0, b.w / b.h, b.h)
+
+
+def _from_cxcyah(cx: float, cy: float, a: float, h: float) -> BBox:
+    w = a * h
+    return BBox(cx - w / 2.0, cy - h / 2.0, w, h)
+
 
 # State layout: (cx, cy, a, h, vcx, vcy, va, vh)
 _F = np.eye(8)
@@ -132,7 +144,7 @@ class Track:
 
     def __init__(self, track_id: int, det: Detection, cfg: TrackerConfig):
         self.id = track_id
-        self.kstate: KalmanState = kf_init(det.bbox.to_cxcyah())
+        self.kstate: KalmanState = kf_init(_to_cxcyah(det.bbox))
         self.hits = 1
         self.age_since_update = 0
         self.class_id = det.class_id
@@ -146,7 +158,7 @@ class Track:
         cx, cy, a, h = self.kstate.mean[:4]
         a = max(a, 1e-6)
         h = max(h, 1e-6)
-        return BBox.from_cxcyah(cx, cy, a, h)
+        return _from_cxcyah(cx, cy, a, h)
 
     def mark_confirmed(self):
         self.lifecycle = Lifecycle.CONFIRMED
@@ -240,7 +252,7 @@ class Tracker:
         return d.motion_awareness if d.motion_awareness is not None else 0.0
 
     def _update_track(self, t: Track, d: Detection, gate_active: bool):
-        t.kstate = kf_update(t.kstate, d.bbox.to_cxcyah())
+        t.kstate = kf_update(t.kstate, _to_cxcyah(d.bbox))
         t.hits += 1
         t.age_since_update = 0
         t.history.append((d.frame, d.bbox))
