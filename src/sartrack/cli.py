@@ -137,7 +137,8 @@ def cmd_lfa_demo(args) -> int:
     a_soft = sio.read_tensor(_require_file(args.asoft))
     props = sio.parse_proposals(_require_file(args.proposals))
     h, w = a_soft.shape[:2]
-    cfg = lfa.LfaConfig(image_w=args.width or w, image_h=args.height or h,
+    cfg = lfa.LfaConfig(image_w=w if args.width is None else args.width,
+                        image_h=h if args.height is None else args.height,
                         lambda_max=args.lambda_max)
     with open(args.out, "w") as fh:
         for line_no, p in props:

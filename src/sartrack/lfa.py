@@ -3,7 +3,8 @@ matching radius, and neighborhood pooling of the line-intensity map.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,8 +69,10 @@ class LfaConfig:
     mlp: TwoLayerMlp | None = None
 
     def __post_init__(self):
-        if self.lambda_max <= 0:
-            raise ValueError(f"lambda_max must be positive, got {self.lambda_max}")
+        for name in ("image_w", "image_h", "lambda_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,9 @@ def neighborhood_pool(a_soft, center, radius: float) -> np.ndarray:
     """Mean of a_soft over grid positions within the radius of center.
 
     The pixel nearest the center always participates, so the neighborhood is
-    never empty even at radius 0.
+    never empty even at radius 0. The disk test runs only inside the disk's
+    bounding window, so the cost is bounded by the radius, not the map size;
+    an infinite radius pools the whole map.
     """
     a = np.asarray(a_soft, dtype=float)
     if a.ndim == 2:
@@ -111,12 +116,19 @@ def neighborhood_pool(a_soft, center, radius: float) -> np.ndarray:
     cx, cy = float(center[0]), float(center[1])
     if not (0 <= cx < w and 0 <= cy < h):
         raise ValueError(f"center ({cx}, {cy}) outside {h}x{w} map")
-    if radius < 0:
+    if math.isnan(radius) or radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    ys, xs = np.mgrid[0:h, 0:w]
+    iy, ix = min(h - 1, round(cy)), min(w - 1, round(cx))
+    # Clamped to the map before rounding, so an infinite radius stays finite.
+    # Pixels outside the window lie at least 1 px beyond the radius.
+    y0 = min(iy, math.floor(max(cy - radius, 0.0)))
+    y1 = max(iy, math.ceil(min(cy + radius, h - 1.0))) + 1
+    x0 = min(ix, math.floor(max(cx - radius, 0.0)))
+    x1 = max(ix, math.ceil(min(cx + radius, w - 1.0))) + 1
+    ys, xs = np.ogrid[y0:y1, x0:x1]
     mask = (xs - cx) ** 2 + (ys - cy) ** 2 <= radius ** 2
-    mask[min(h - 1, round(cy)), min(w - 1, round(cx))] = True
-    return a[mask].mean(axis=0)
+    mask[iy - y0, ix - x0] = True
+    return a[y0:y1, x0:x1][mask].mean(axis=0)
 
 
 def enhance_proposal(p: Proposal, a_soft, cfg: LfaConfig) -> Proposal:

@@ -5,14 +5,24 @@ Feature maps are numpy arrays of shape (H, W, C); Radon-domain maps are
 (n_angles, n_rho, C). The forward transform assigns every pixel to exactly
 one rho bin per angle, and back-projection reuses the identical bin mapping,
 so back-projection at threshold 0 is the exact adjoint of the forward pass.
+
+That mapping is an (n_angles, H, W) table of ``intp`` bin indices, 8 bytes
+per entry on 64-bit platforms: 377 MB for a 512 x 512 map at the default
+180 angles. A table larger than ``BIN_TABLE_MAX_BYTES`` (1 GiB) is rejected
+with a ``ValueError`` before anything is allocated. Built tables are cached
+up to the same total, and the least recently used ones are evicted first.
 """
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+
+BIN_TABLE_MAX_BYTES = 1 << 30
+
+_bin_tables: OrderedDict[tuple[int, int, int, int], np.ndarray] = OrderedDict()
 
 
 def _as_hwc(x) -> np.ndarray:
@@ -26,14 +36,30 @@ def _as_hwc(x) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=32)
 def _rho_bins(h: int, w: int, n_angles: int, n_rho: int) -> np.ndarray:
     """Per-angle rho bin index of every pixel, shape (n_angles, h, w).
 
     Pixel coordinates are centered on the map center; rho is offset by half
     the diagonal so bin indices are nonnegative, then clamped to the valid
     range (boundary clamping keeps per-angle mass conservation exact).
+    The table is cached and read-only.
     """
+    key = (h, w, n_angles, n_rho)
+    idx = _bin_tables.get(key)
+    if idx is not None:
+        _bin_tables.move_to_end(key)
+        return idx
+    if n_angles < 1 or n_rho < 1:
+        raise ValueError("n_angles and n_rho must be >= 1")
+    nbytes = n_angles * h * w * np.dtype(np.intp).itemsize
+    if nbytes > BIN_TABLE_MAX_BYTES:
+        raise ValueError(
+            f"rho bin table of shape ({n_angles}, {h}, {w}) needs {nbytes} bytes, "
+            f"above the {BIN_TABLE_MAX_BYTES}-byte limit; use fewer angles")
+    # Evict before building, so the new table never coexists with a full cache.
+    cached = sum(t.nbytes for t in _bin_tables.values())
+    while cached + nbytes > BIN_TABLE_MAX_BYTES:
+        cached -= _bin_tables.popitem(last=False)[1].nbytes
     diag = math.hypot(h, w)
     d_theta = math.pi / n_angles
     d_rho = diag / n_rho
@@ -46,6 +72,7 @@ def _rho_bins(h: int, w: int, n_angles: int, n_rho: int) -> np.ndarray:
         idx[a] = np.floor((cos_t * xc + sin_t * yc + diag / 2.0) / d_rho)
     np.clip(idx, 0, n_rho - 1, out=idx)
     idx.setflags(write=False)
+    _bin_tables[key] = idx
     return idx
 
 
@@ -60,8 +87,6 @@ def radon_forward(x, n_angles: int, n_rho: int) -> np.ndarray:
     Returns a (n_angles, n_rho, C) array.
     """
     x = _as_hwc(x)
-    if n_angles < 1 or n_rho < 1:
-        raise ValueError("n_angles and n_rho must be >= 1")
     h, w, c = x.shape
     bins = _rho_bins(h, w, n_angles, n_rho)
     flat = x.reshape(h * w, c)
@@ -79,6 +104,10 @@ def radon_backproject(y, tau, h: int, w: int) -> np.ndarray:
     ``tau`` is one threshold or one per channel. A pixel receives a bin's
     value iff its forward mapping at that angle lands in that bin, making
     tau=0 the exact adjoint of radon_forward.
+
+    Each output plane is summed in place over angles, in angle order, from
+    1-D gathers out of one contiguous copy of that channel's bins (for one
+    channel the copy is a view, so no buffer beyond the output is held).
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 2:
@@ -89,8 +118,11 @@ def radon_backproject(y, tau, h: int, w: int) -> np.ndarray:
     bins = _rho_bins(h, w, n_angles, n_rho)
     kept = np.where(y >= tau, y, 0.0)
     out = np.zeros((h, w, c))
-    for a in range(n_angles):
-        out += kept[a][bins[a]]
+    for k in range(c):
+        col = np.ascontiguousarray(kept[:, :, k])
+        plane = out[:, :, k]
+        for a in range(n_angles):
+            plane += col[a][bins[a]]
     return out
 
 
@@ -158,10 +190,11 @@ def lffm(x, n_angles: int | None = None, n_rho: int | None = None,
     """
     x = _as_hwc(x)
     h, w, c = x.shape
-    if n_angles is None or n_rho is None:
-        da, dr = default_bins(h, w)
-        n_angles = n_angles or da
-        n_rho = n_rho or dr
+    da, dr = default_bins(h, w)
+    n_angles = da if n_angles is None else n_angles
+    n_rho = dr if n_rho is None else n_rho
+    if tau is not None and not np.all(np.isfinite(tau)):
+        raise ValueError(f"tau must be finite, got {tau}")
     if params is None:
         params = FusionParams.zeros(c)
     y = radon_forward(x, n_angles, n_rho)

@@ -246,6 +246,21 @@ def test_lineops_on_tensor(capsys, tmp_path):
     assert read_tensor(out / "a_soft.vsfm").shape == (12, 12, 2)
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--theta", "1000000000"), "(1000000000, 64, 64)"),
+    (("--theta", "0"), "n_angles and n_rho must be >= 1"),
+    (("--rho", "0"), "n_angles and n_rho must be >= 1"),
+    (("--tau", "nan"), "tau must be finite"),
+    (("--tau", "inf"), "tau must be finite"),
+])
+def test_lineops_bad_bins_and_tau_are_data_errors(capsys, tmp_path, flags, message):
+    src = tmp_path / "t.vsfm"
+    write_tensor(np.zeros((64, 64, 1)), src)
+    code, _, err = run(capsys, "lineops", "--in", str(src), "--out", str(tmp_path / "o"), *flags)
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
 def test_lineops_truncated_tensor_header_is_data_error(capsys, tmp_path):
     src = tmp_path / "short.vsfm"
     src.write_bytes(b"VSFM\x01\x00")
@@ -272,6 +287,24 @@ def test_lfa_demo(capsys, tmp_path):
                        "--proposals", str(props), "--out", str(out))
     assert code == 2
     assert f"{props}:3: center" in err and "outside" in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--lambda-max", "nan"), ("--lambda-max", "inf"),
+    ("--width", "nan"), ("--width", "inf"), ("--width", "0"), ("--height", "-5"),
+])
+def test_lfa_demo_bad_radius_inputs_are_data_errors(capsys, tmp_path, flag, value):
+    src = tmp_path / "a.vsfm"
+    write_tensor(np.full((20, 20, 1), 1.0 / 400), src)
+    props = tmp_path / "props.txt"
+    props.write_text("2 2 4 4 0.0 1 2\n")
+    out = tmp_path / "enh.txt"
+    code, _, err = run(capsys, "lfa-demo", "--asoft", str(src), "--proposals", str(props),
+                       "--out", str(out), flag, value)
+    name = {"--lambda-max": "lambda_max", "--width": "image_w", "--height": "image_h"}[flag]
+    assert code == 2
+    assert f"{name} must be positive and finite, got {float(value)}" in err
+    assert not out.exists()
 
 
 def test_render(capsys, scenario_dir, tmp_path):

@@ -105,6 +105,19 @@ def test_neighborhood_pool_brute_force_exact():
         np.testing.assert_allclose(got, acc / cnt)
 
 
+def test_neighborhood_pool_nan_radius_rejected():
+    a = np.random.default_rng(6).random((5, 7, 2))
+    with pytest.raises(ValueError, match="radius"):
+        neighborhood_pool(a, (3, 2), float("nan"))
+
+
+def test_neighborhood_pool_infinite_radius_pools_whole_map():
+    a = np.random.default_rng(7).random((5, 7, 2))
+    for center in ((0, 0), (6.9, 4.9), (3.2, 1.7)):
+        np.testing.assert_allclose(neighborhood_pool(a, center, np.inf),
+                                   a.reshape(-1, 2).mean(axis=0))
+
+
 def test_neighborhood_pool_center_outside():
     with pytest.raises(ValueError):
         neighborhood_pool(np.zeros((4, 4, 1)), (10, 1), 1.0)
@@ -135,6 +148,16 @@ def test_enhance_proposal_deterministic():
     d1 = enhance_proposal(p1, a, cfg).feature - p1.feature
     d2 = enhance_proposal(p2, a, cfg).feature - p2.feature
     np.testing.assert_allclose(d1, d2)
+
+
+def test_lfa_config_rejects_non_finite_or_non_positive_values():
+    for bad in (float("nan"), float("inf"), 0.0, -0.1):
+        with pytest.raises(ValueError, match="lambda_max"):
+            LfaConfig(image_w=8, image_h=8, lambda_max=bad)
+        with pytest.raises(ValueError, match="image_w"):
+            LfaConfig(image_w=bad, image_h=8)
+        with pytest.raises(ValueError, match="image_h"):
+            LfaConfig(image_w=8, image_h=bad)
 
 
 def test_proposal_validation():

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from sartrack import lineops
 from sartrack.lineops import (FusionParams, _rho_bins, default_bins, gated_fuse,
                               lffm, radon_backproject, radon_forward,
                               soft_normalize)
@@ -51,6 +54,39 @@ def test_rho_bins_equal_vectorized_formula(h, w):
         got = _rho_bins(h, w, n_angles, n_rho)
         assert got.dtype == np.intp and not got.flags.writeable
         assert np.array_equal(got, vectorized_rho_bins(h, w, n_angles, n_rho))
+
+
+def test_rho_bins_rejects_oversized_table_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"\(1000000000, 64, 64\)"):
+            _rho_bins(64, 64, 10**9, 91)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_rho_bins_cache_keeps_benchmark_tables():
+    # The 256 x 256 and 512 x 512 tables at the default 180 angles fit together.
+    itemsize = np.dtype(np.intp).itemsize
+    assert 180 * (256**2 + 512**2) * itemsize <= lineops.BIN_TABLE_MAX_BYTES
+
+
+def test_rho_bins_cache_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(lineops, "_bin_tables", OrderedDict())
+    one = 4 * 8 * 8 * np.dtype(np.intp).itemsize
+    monkeypatch.setattr(lineops, "BIN_TABLE_MAX_BYTES", 2 * one + 1)
+    first = _rho_bins(8, 8, 4, 5)
+    second = _rho_bins(8, 8, 4, 6)
+    assert _rho_bins(8, 8, 4, 5) is first  # cached, and now the most recent
+    third = _rho_bins(8, 8, 4, 7)
+    assert list(lineops._bin_tables) == [(8, 8, 4, 5), (8, 8, 4, 7)]
+    assert _rho_bins(8, 8, 4, 7) is third
+    assert _rho_bins(8, 8, 4, 6) is not second
+    assert np.array_equal(_rho_bins(8, 8, 4, 6), second)
+    with pytest.raises(ValueError, match="limit"):
+        _rho_bins(8, 8, 12, 5)
 
 
 def test_forward_zero_map():
@@ -230,6 +266,16 @@ def test_lffm_streak_argmax_on_streak():
     _, a = lffm(img)
     iy, ix = np.unravel_index(np.argmax(a[:, :, 0]), a.shape[:2])
     assert mask[iy, ix]
+
+
+def test_lffm_zero_bins_and_non_finite_tau_rejected():
+    x = np.zeros((6, 6, 1))
+    for kwargs in ({"n_angles": 0}, {"n_rho": 0}, {"n_angles": 0, "n_rho": 0}):
+        with pytest.raises(ValueError, match="n_angles and n_rho must be >= 1"):
+            lffm(x, **kwargs)
+    for tau in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            lffm(x, tau=tau)
 
 
 def test_default_bins():
