@@ -124,8 +124,8 @@ def cmd_lineops(args) -> int:
         x = sio.read_tensor(path)
     else:
         x = sio.read_pgm(path).astype(float)[:, :, None] / 255.0
-    os.makedirs(args.out, exist_ok=True)
     z, a_soft = lineops.lffm(x, args.theta, args.rho, args.tau)
+    os.makedirs(args.out, exist_ok=True)
     sio.write_tensor(a_soft, os.path.join(args.out, "a_soft.vsfm"))
     sio.write_tensor(z, os.path.join(args.out, "fused.vsfm"))
     sio.write_pgm(sio.to_uint8(a_soft[:, :, 0]), os.path.join(args.out, "a_soft.pgm"))

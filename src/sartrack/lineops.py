@@ -6,9 +6,10 @@ Feature maps are numpy arrays of shape (H, W, C); Radon-domain maps are
 one rho bin per angle, and back-projection reuses the identical bin mapping,
 so back-projection at threshold 0 is the exact adjoint of the forward pass.
 
-That mapping is an (n_angles, H, W) table of ``intp`` bin indices, 8 bytes
-per entry on 64-bit platforms: 377 MB for a 512 x 512 map at the default
-180 angles. A table larger than ``BIN_TABLE_MAX_BYTES`` (1 GiB) is rejected
+That mapping is an (n_angles, H, W) table of bin indices in the smallest
+unsigned type that holds ``n_rho - 1``: 2 bytes per entry at the default bin
+counts, 94 MB for a 512 x 512 map at the default 180 angles. A table, or a
+forward Radon map, larger than ``BIN_TABLE_MAX_BYTES`` (1 GiB) is rejected
 with a ``ValueError`` before anything is allocated. Built tables are cached
 up to the same total, and the least recently used ones are evicted first.
 """
@@ -36,26 +37,38 @@ def _as_hwc(x) -> np.ndarray:
     return x
 
 
+def _bin_table_size(h: int, w: int, n_angles: int, n_rho: int) -> tuple[np.dtype, int]:
+    """Index dtype and byte size of the (n_angles, h, w) rho bin table.
+
+    Raises ValueError for fewer than one angle or bin, or a table above
+    ``BIN_TABLE_MAX_BYTES``.
+    """
+    if n_angles < 1 or n_rho < 1:
+        raise ValueError("n_angles and n_rho must be >= 1")
+    dtype = np.min_scalar_type(n_rho - 1)
+    nbytes = n_angles * h * w * dtype.itemsize
+    if nbytes > BIN_TABLE_MAX_BYTES:
+        raise ValueError(
+            f"rho bin table of shape ({n_angles}, {h}, {w}) needs {nbytes} bytes, "
+            f"above the {BIN_TABLE_MAX_BYTES}-byte limit; use fewer angles")
+    return dtype, nbytes
+
+
 def _rho_bins(h: int, w: int, n_angles: int, n_rho: int) -> np.ndarray:
     """Per-angle rho bin index of every pixel, shape (n_angles, h, w).
 
     Pixel coordinates are centered on the map center; rho is offset by half
     the diagonal so bin indices are nonnegative, then clamped to the valid
     range (boundary clamping keeps per-angle mass conservation exact).
-    The table is cached and read-only.
+    Indices are stored in the dtype ``_bin_table_size`` picks. The table is
+    cached and read-only.
     """
     key = (h, w, n_angles, n_rho)
     idx = _bin_tables.get(key)
     if idx is not None:
         _bin_tables.move_to_end(key)
         return idx
-    if n_angles < 1 or n_rho < 1:
-        raise ValueError("n_angles and n_rho must be >= 1")
-    nbytes = n_angles * h * w * np.dtype(np.intp).itemsize
-    if nbytes > BIN_TABLE_MAX_BYTES:
-        raise ValueError(
-            f"rho bin table of shape ({n_angles}, {h}, {w}) needs {nbytes} bytes, "
-            f"above the {BIN_TABLE_MAX_BYTES}-byte limit; use fewer angles")
+    dtype, nbytes = _bin_table_size(h, w, n_angles, n_rho)
     # Evict before building, so the new table never coexists with a full cache.
     cached = sum(t.nbytes for t in _bin_tables.values())
     while cached + nbytes > BIN_TABLE_MAX_BYTES:
@@ -66,11 +79,17 @@ def _rho_bins(h: int, w: int, n_angles: int, n_rho: int) -> np.ndarray:
     xc = np.arange(w) - (w - 1) / 2.0
     yc = (np.arange(h) - (h - 1) / 2.0)[:, None]
     thetas = np.arange(n_angles) * d_theta
-    # Filled one angle at a time, so only (h, w) float temporaries exist.
-    idx = np.empty((n_angles, h, w), dtype=np.intp)
+    # Filled one angle at a time through one (h, w) float buffer. The clamp
+    # runs in float, before the narrowing cast, so no bin can wrap around.
+    idx = np.empty((n_angles, h, w), dtype=dtype)
+    buf = np.empty((h, w))
     for a, (cos_t, sin_t) in enumerate(zip(np.cos(thetas), np.sin(thetas))):
-        idx[a] = np.floor((cos_t * xc + sin_t * yc + diag / 2.0) / d_rho)
-    np.clip(idx, 0, n_rho - 1, out=idx)
+        np.add(cos_t * xc, sin_t * yc, out=buf)
+        buf += diag / 2.0
+        buf /= d_rho
+        np.floor(buf, out=buf)
+        np.clip(buf, 0, n_rho - 1, out=buf)
+        idx[a] = buf
     idx.setflags(write=False)
     _bin_tables[key] = idx
     return idx
@@ -84,17 +103,27 @@ def default_bins(h: int, w: int) -> tuple[int, int]:
 def radon_forward(x, n_angles: int, n_rho: int) -> np.ndarray:
     """Accumulate each pixel's value into its (angle, rho) bin.
 
-    Returns a (n_angles, n_rho, C) array.
+    Returns a (n_angles, n_rho, C) array. A bin table or output above
+    ``BIN_TABLE_MAX_BYTES`` raises ValueError before either is allocated.
     """
     x = _as_hwc(x)
     h, w, c = x.shape
+    _bin_table_size(h, w, n_angles, n_rho)
+    nbytes = n_angles * n_rho * c * np.dtype(float).itemsize
+    if nbytes > BIN_TABLE_MAX_BYTES:
+        raise ValueError(
+            f"Radon map of shape ({n_angles}, {n_rho}, {c}) needs {nbytes} bytes, "
+            f"above the {BIN_TABLE_MAX_BYTES}-byte limit; use fewer angles or rho bins")
     bins = _rho_bins(h, w, n_angles, n_rho)
     flat = x.reshape(h * w, c)
     out = np.zeros((n_angles, n_rho, c))
+    # bincount casts narrow indices to a fresh intp array on every call;
+    # casting each angle once into one reused buffer allocates nothing.
+    idx = np.empty(h * w, dtype=np.intp)
     for a in range(n_angles):
-        b = bins[a].ravel()
+        idx[...] = bins[a].ravel()
         for k in range(c):
-            out[a, :, k] = np.bincount(b, weights=flat[:, k], minlength=n_rho)
+            out[a, :, k] = np.bincount(idx, weights=flat[:, k], minlength=n_rho)
     return out
 
 
@@ -107,7 +136,8 @@ def radon_backproject(y, tau, h: int, w: int) -> np.ndarray:
 
     Each output plane is summed in place over angles, in angle order, from
     1-D gathers out of one contiguous copy of that channel's bins (for one
-    channel the copy is a view, so no buffer beyond the output is held).
+    channel the copy is a view). Every gather goes through the same two
+    (h, w) buffers, one for the indices and one for the gathered values.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 2:
@@ -118,11 +148,19 @@ def radon_backproject(y, tau, h: int, w: int) -> np.ndarray:
     bins = _rho_bins(h, w, n_angles, n_rho)
     kept = np.where(y >= tau, y, 0.0)
     out = np.zeros((h, w, c))
+    # np.take given narrow indices allocates an intp copy of them and a result
+    # on every call, and freeing both can hand the pages back to the OS each
+    # time. 'clip' never moves an index of the clamped table; the default
+    # 'raise' would copy `out` before writing it.
+    idx = np.empty((h, w), dtype=np.intp)
+    vals = np.empty((h, w))
     for k in range(c):
         col = np.ascontiguousarray(kept[:, :, k])
         plane = out[:, :, k]
         for a in range(n_angles):
-            plane += col[a][bins[a]]
+            idx[...] = bins[a]
+            np.take(col[a], idx, out=vals, mode="clip")
+            plane += vals
     return out
 
 

@@ -252,6 +252,7 @@ def test_lineops_on_tensor(capsys, tmp_path):
     (("--rho", "0"), "n_angles and n_rho must be >= 1"),
     (("--tau", "nan"), "tau must be finite"),
     (("--tau", "inf"), "tau must be finite"),
+    (("--theta", "2", "--rho", "1000000000"), "(2, 1000000000, 1) needs 16000000000 bytes"),
 ])
 def test_lineops_bad_bins_and_tau_are_data_errors(capsys, tmp_path, flags, message):
     src = tmp_path / "t.vsfm"
@@ -259,6 +260,7 @@ def test_lineops_bad_bins_and_tau_are_data_errors(capsys, tmp_path, flags, messa
     code, _, err = run(capsys, "lineops", "--in", str(src), "--out", str(tmp_path / "o"), *flags)
     assert code == 2
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_lineops_truncated_tensor_header_is_data_error(capsys, tmp_path):

@@ -52,15 +52,41 @@ def vectorized_rho_bins(h, w, n_angles, n_rho):
 def test_rho_bins_equal_vectorized_formula(h, w):
     for n_angles, n_rho in (default_bins(h, w), (7, 11), (1, 1), (13, 200)):
         got = _rho_bins(h, w, n_angles, n_rho)
-        assert got.dtype == np.intp and not got.flags.writeable
+        assert got.dtype == np.min_scalar_type(n_rho - 1) and not got.flags.writeable
         assert np.array_equal(got, vectorized_rho_bins(h, w, n_angles, n_rho))
 
 
+@pytest.mark.parametrize("n_rho", [255, 256, 257, 65535, 65536, 65537])
+def test_rho_bins_narrow_dtype_boundaries(n_rho):
+    # A one-row strip at least n_rho / 2 wide reaches both the first and the
+    # last bin, the largest index the narrow dtype must hold.
+    for h, w, n_angles in ((17, 23, 7), (1, n_rho // 2 + 1, 3)):
+        want = vectorized_rho_bins(h, w, n_angles, n_rho)
+        got = _rho_bins(h, w, n_angles, n_rho)
+        assert got.dtype == np.min_scalar_type(n_rho - 1)
+        assert np.array_equal(got, want)
+    assert want.min() == 0 and want.max() == n_rho - 1
+
+
+def test_rho_bins_cold_build_memory_is_table_plus_two_planes(monkeypatch):
+    monkeypatch.setattr(lineops, "_bin_tables", OrderedDict())
+    tracemalloc.start()
+    try:
+        table = _rho_bins(256, 256, 180, 363)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.nbytes + 2 * 256 * 256 * np.dtype(float).itemsize
+
+
 def test_rho_bins_rejects_oversized_table_before_allocating():
+    x = np.zeros((64, 64, 1))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"\(1000000000, 64, 64\)"):
             _rho_bins(64, 64, 10**9, 91)
+        with pytest.raises(ValueError, match=r"Radon map of shape \(2, 1000000000, 1\)"):
+            radon_forward(x, 2, 10**9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -69,13 +95,13 @@ def test_rho_bins_rejects_oversized_table_before_allocating():
 
 def test_rho_bins_cache_keeps_benchmark_tables():
     # The 256 x 256 and 512 x 512 tables at the default 180 angles fit together.
-    itemsize = np.dtype(np.intp).itemsize
-    assert 180 * (256**2 + 512**2) * itemsize <= lineops.BIN_TABLE_MAX_BYTES
+    nbytes = [lineops._bin_table_size(n, n, *default_bins(n, n))[1] for n in (256, 512)]
+    assert sum(nbytes) <= lineops.BIN_TABLE_MAX_BYTES
 
 
 def test_rho_bins_cache_evicts_least_recently_used(monkeypatch):
     monkeypatch.setattr(lineops, "_bin_tables", OrderedDict())
-    one = 4 * 8 * 8 * np.dtype(np.intp).itemsize
+    one = lineops._bin_table_size(8, 8, 4, 7)[1]
     monkeypatch.setattr(lineops, "BIN_TABLE_MAX_BYTES", 2 * one + 1)
     first = _rho_bins(8, 8, 4, 5)
     second = _rho_bins(8, 8, 4, 6)

@@ -61,7 +61,9 @@ def test_neighborhood_pool_equals_full_map_reference(case):
 @st.composite
 def _backproject_case(draw):
     h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
-    n_angles, n_rho = draw(st.integers(1, 20)), draw(st.integers(1, 30))
+    # Up to 256 bins the table is uint8; 250-300 also reaches uint16.
+    n_angles = draw(st.integers(1, 20))
+    n_rho = draw(st.one_of(st.integers(1, 30), st.integers(250, 300)))
     c = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(_SEED))
     y = rng.standard_normal((n_angles, n_rho, c))
