@@ -4,7 +4,10 @@ Hungarian assignment, and track lifecycle management.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain, compress, groupby
+from operator import itemgetter
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -36,13 +39,11 @@ class TrackerConfig:
             raise ValueError("need 0 <= tau_low < tau_high <= 1")
         for name in ("match_thresh_stage1", "match_thresh_stage2",
                      "lambda_app", "tau_v", "ema_alpha", "v_ema_alpha"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {v}")
-        if self.n_init < 1:
-            raise ValueError(f"n_init must be >= 1, got {self.n_init}")
-        if self.max_age < 0:
-            raise ValueError(f"max_age must be >= 0, got {self.max_age}")
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0,1], got {getattr(self, name)}")
+        for name, least in (("n_init", 1), ("max_age", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 class Lifecycle(enum.Enum):
@@ -52,19 +53,12 @@ class Lifecycle(enum.Enum):
     REMOVED = "removed"
 
 
-class Track:
-    """One trajectory hypothesis: lifecycle and EMA appearance. Its Kalman
-    state is a row of the owning Tracker's arrays."""
+# `Tracker.state` indexes this tuple; removed rows leave the table at once.
+_LIFECYCLES = tuple(Lifecycle)
+_TENT, _CONF, _LOST = range(3)
 
-    def __init__(self, track_id: int, det: Detection, cfg: TrackerConfig):
-        self.id = track_id
-        self.hits = 1
-        self.age_since_update = 0
-        self.class_id = det.class_id
-        self.ema_embedding = None if det.embedding is None else det.embedding.copy()
-        self.v_ema = det.motion_awareness if det.motion_awareness is not None else 0.0
-        self.lifecycle = Lifecycle.CONFIRMED if cfg.n_init <= 1 else Lifecycle.TENTATIVE
-        self.history: list[tuple[int, BBox]] = [(det.frame, det.bbox)]
+# A read-only copy of one live row of the tracker's table.
+TrackRow = namedtuple("TrackRow", "id lifecycle hits age_since_update v_ema")
 
 
 @dataclass(frozen=True)
@@ -78,38 +72,29 @@ def hungarian(cost, max_cost: float) -> AssociationResult:
     """Minimum-total-cost one-to-one assignment; pairs costing more than
     max_cost are demoted to unmatched."""
     cost = np.atleast_2d(np.asarray(cost, dtype=float))
-    n, m = cost.shape
-    if cost.size == 0:
-        return AssociationResult((), tuple(range(n)), tuple(range(m)))
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains non-finite values")
     rows, cols = linear_sum_assignment(cost)
-    matches = []
-    for r, c in zip(rows, cols):
-        if cost[r, c] <= max_cost:
-            matches.append((int(r), int(c)))
-    matched_r = {r for r, _ in matches}
-    matched_c = {c for _, c in matches}
-    return AssociationResult(
-        tuple(matches),
-        tuple(i for i in range(n) if i not in matched_r),
-        tuple(j for j in range(m) if j not in matched_c),
-    )
+    ok = cost[rows, cols] <= max_cost
+    rows, cols = rows[ok].tolist(), cols[ok].tolist()
+    n, m = cost.shape
+    return AssociationResult(tuple(zip(rows, cols)),
+                             tuple(sorted(set(range(n)).difference(rows))),
+                             tuple(sorted(set(range(m)).difference(cols))))
 
 
 def iou_cost(track_boxes, det_boxes) -> np.ndarray:
     return 1.0 - iou(track_boxes, det_boxes)
 
 
-def appearance_cost(tracks: list[Track], dets: list[Detection]) -> np.ndarray:
-    """Cosine-based cost in [0,1]; NaN marks pairs lacking an embedding."""
-    out = np.full((len(tracks), len(dets)), np.nan)
-    ti = [i for i, t in enumerate(tracks) if t.ema_embedding is not None]
-    dj = [j for j, d in enumerate(dets) if d.embedding is not None]
-    if ti and dj:
-        e_t = np.array([tracks[i].ema_embedding for i in ti])
-        e_d = np.array([dets[j].embedding for j in dj])
-        out[np.ix_(ti, dj)] = (1.0 - e_t @ e_d.T) / 2.0
+def appearance_cost(track_emb: np.ndarray, track_has: np.ndarray,
+                    det_emb: np.ndarray, det_has: np.ndarray) -> np.ndarray:
+    """Cosine-based cost in [0,1] between rows of two embedding blocks;
+    NaN marks pairs where either has-embedding mask is unset."""
+    out = np.full((len(track_has), len(det_has)), np.nan)
+    ti, dj = np.flatnonzero(track_has), np.flatnonzero(det_has)
+    if ti.size and dj.size:
+        out[np.ix_(ti, dj)] = (1.0 - track_emb[ti] @ det_emb[dj].T) / 2.0
     return out
 
 
@@ -117,76 +102,92 @@ def maa_fuse(iou_c: np.ndarray, app_c: np.ndarray, v_track, v_det,
              cfg: TrackerConfig) -> np.ndarray:
     """Blend appearance into the IoU cost, discarding it for pairs whose
     motion awareness crosses the gate threshold (or lacks an embedding)."""
-    iou_c = np.asarray(iou_c, dtype=float)
-    app_c = np.asarray(app_c, dtype=float)
+    iou_c, app_c = np.asarray(iou_c, dtype=float), np.asarray(app_c, dtype=float)
     if iou_c.shape != app_c.shape:
         raise ValueError(f"shape mismatch: {iou_c.shape} vs {app_c.shape}")
-    v_track = np.asarray(v_track, dtype=float)
-    v_det = np.asarray(v_det, dtype=float)
-    g = np.maximum(v_track[:, None], v_det[None, :])
-    gate = (g >= cfg.tau_v) | np.isnan(app_c)
-    fused = cfg.lambda_app * app_c + (1.0 - cfg.lambda_app) * iou_c
-    return np.where(gate, iou_c, fused)
-
-
-def _class_mask(cost: np.ndarray, track_cls: np.ndarray, dets: list[Detection]) -> np.ndarray:
-    d_cls = np.array([d.class_id for d in dets])
-    return np.where(track_cls[:, None] != d_cls[None, :], FORBIDDEN_COST, cost)
+    gate = (np.maximum.outer(v_track, v_det) >= cfg.tau_v) | np.isnan(app_c)
+    return np.where(gate, iou_c, cfg.lambda_app * app_c + (1.0 - cfg.lambda_app) * iou_c)
 
 
 class Tracker:
     """Frame-by-frame tracker state for one sequence.
 
-    `tracks` holds the live tracks, those not yet removed, in creation
-    order; row i of `mean` (N, 8) and `cov` (N, 8, 8) is the Kalman state of
-    `tracks[i]`. A removed track is marked REMOVED and leaves the list. If
-    it had confirmed (it was LOST), its id and history go to the finished
-    trajectories; a TENTATIVE one is dropped.
+    The live tracks form one table in creation order: row i of each column
+    in `_COLUMNS` is one track. `age` counts frames since the last match,
+    `state` indexes `Lifecycle`, `emb` (N, D) is the appearance EMA where
+    `has_emb` is set, D fixed by the first embedding seen, and `mean` (N, 8)
+    and `cov` (N, 8, 8) are the Kalman state. A frame updates and ages the
+    rows with masked array expressions. An append-only log keeps one
+    (frame, ids, boxes) entry per frame for the matched and spawned rows;
+    `trajectories()` reads it for the ids that ever confirmed.
     """
+
+    # Each column's dtype and the shape of one row.
+    _COLUMNS = {"ids": (np.int64, ()), "hits": (np.int64, ()), "age": (np.int64, ()),
+                "state": (np.int8, ()), "cls": (np.int64, ()), "v_ema": (float, ()),
+                "emb": (float, (0,)), "has_emb": (bool, ()), "mean": (float, (8,)),
+                "cov": (float, (8, 8))}
 
     def __init__(self, cfg: TrackerConfig | None = None, use_maa: bool = True):
         self.cfg = cfg or TrackerConfig()
         self.use_maa = use_maa
-        self.tracks: list[Track] = []
-        self._finished: list[tuple[int, list[tuple[int, BBox]]]] = []
-        self.mean = np.zeros((0, 8))
-        self.cov = np.zeros((0, 8, 8))
+        for name, (dtype, shape) in self._COLUMNS.items():
+            setattr(self, name, np.zeros((0, *shape), dtype=dtype))
+        # (frame, ids, boxes) log entries, and the ids removed while LOST.
+        self._log, self._retired = [], []
         self._next_id = 1
         self._speed_max = 1e-9
 
-    def _update_tracks(self, matched_pairs: list[tuple[int, Detection, bool]]):
-        rows = [r for r, _, _ in matched_pairs]
-        z = boxes_to_measurements(as_xywh([d.bbox for _, d, _ in matched_pairs]))
-        mean, cov = kf_update(self.mean[rows], self.cov[rows], z)
+    @property
+    def tracks(self) -> list[TrackRow]:
+        """The live rows, in creation order."""
+        return list(map(TrackRow, self.ids.tolist(),
+                        map(_LIFECYCLES.__getitem__, self.state.tolist()),
+                        self.hits.tolist(), self.age.tolist(), self.v_ema.tolist()))
+
+    def _detection_columns(self, dets: list[Detection]) -> tuple:
+        """One frame's detections as (x, y, w, h) boxes, scores, classes,
+        motion awareness (NaN if absent), and an embedding block as wide as
+        the table's, zero where absent, with its mask. The first embedding
+        seen fixes that width."""
+        vecs = [d.embedding for d in dets if d.embedding is not None]
+        if vecs and not self.emb.shape[1]:
+            self.emb = np.zeros((len(self.ids), len(vecs[0])))
+        has = np.array([d.embedding is not None for d in dets], dtype=bool)
+        emb = np.zeros((len(dets), self.emb.shape[1]))
+        emb[has] = np.reshape(vecs, (len(vecs), emb.shape[1]))
+        ma = [np.nan if d.motion_awareness is None else d.motion_awareness for d in dets]
+        return (as_xywh([d.bbox for d in dets]), np.array([d.score for d in dets], dtype=float),
+                np.array([d.class_id for d in dets], dtype=np.int64), np.array(ma), emb, has)
+
+    def _update_tracks(self, rows, boxes, ma, emb, take):
+        """Correct the matched rows, in match order, by their detections. Rows
+        where `take` is set fold `emb` into their appearance EMA; it is unset
+        while the gate fires, so defocused looks never reach that model."""
+        mean, cov = kf_update(self.mean[rows], self.cov[rows], boxes_to_measurements(boxes))
         self.mean[rows], self.cov[rows] = mean, cov
         speeds = np.hypot(mean[:, 4], mean[:, 5])
         # Each v_obs divides by the running maximum up to and including its
         # own track, in match order.
         speed_max = np.maximum.accumulate(np.concatenate(([self._speed_max], speeds)))
         self._speed_max = speed_max[-1]
-        a, va = self.cfg.ema_alpha, self.cfg.v_ema_alpha
-        for (r, d, gate_active), speed, smax in zip(matched_pairs, speeds, speed_max[1:]):
-            t = self.tracks[r]
-            t.hits += 1
-            t.age_since_update = 0
-            t.history.append((d.frame, d.bbox))
-            if t.lifecycle is Lifecycle.LOST or t.hits >= self.cfg.n_init:
-                t.lifecycle = Lifecycle.CONFIRMED
-            # Appearance EMA is frozen while the gate fires so defocused looks
-            # never contaminate the track's appearance model.
-            if d.embedding is not None and not gate_active:
-                if t.ema_embedding is None:
-                    t.ema_embedding = d.embedding.copy()
-                else:
-                    mixed = a * t.ema_embedding + (1.0 - a) * d.embedding
-                    n = np.linalg.norm(mixed)
-                    if n > 0:
-                        t.ema_embedding = mixed / n
-            if d.motion_awareness is not None:
-                v_obs = d.motion_awareness
-            else:
-                v_obs = min(speed / smax, 1.0)
-            t.v_ema = min(max(va * t.v_ema + (1.0 - va) * v_obs, 0.0), 1.0)
+        self.hits[rows] += 1
+        self.age[rows] = 0
+        confirm = (self.state[rows] == _LOST) | (self.hits[rows] >= self.cfg.n_init)
+        self.state[rows[confirm]] = _CONF
+        # A row without an embedding takes the detection's as it is.
+        r, e = rows[take], emb[take]
+        mix = self.has_emb[r]
+        self.emb[r[~mix]], self.has_emb[r] = e[~mix], True
+        r, a = r[mix], self.cfg.ema_alpha
+        mixed = a * self.emb[r] + (1.0 - a) * e[mix]
+        # This stacked row-by-row dot product equals a one-row
+        # np.linalg.norm bit for bit; np.linalg.norm(axis=1) does not.
+        n = np.sqrt(mixed[:, None, :] @ mixed[:, :, None])[:, 0, 0]
+        self.emb[r[n > 0]] = mixed[n > 0] / n[n > 0, None]
+        v_obs = np.where(np.isnan(ma), np.minimum(speeds / speed_max[1:], 1.0), ma)
+        va = self.cfg.v_ema_alpha
+        self.v_ema[rows] = np.clip(va * self.v_ema[rows] + (1.0 - va) * v_obs, 0.0, 1.0)
 
     def step(self, frame: int, detections: list[Detection],
              cmc: Affine2x3 | None = None) -> list[tuple[int, BBox]]:
@@ -196,106 +197,100 @@ class Tracker:
         if any(d.frame != frame for d in detections):
             raise ValueError("detections from mixed frames")
 
-        live = self.tracks
-        if live:
+        if len(self.ids):
             if cmc is not None:
                 self.mean, self.cov = apply_cmc(self.mean, self.cov, cmc)
             self.mean, self.cov = kf_predict(self.mean, self.cov)
         pred_boxes = means_to_boxes(self.mean)
-        classes = np.array([t.class_id for t in live])
+        boxes, score, d_cls, d_ma, d_emb, d_has = self._detection_columns(detections)
+        d_v = np.where(np.isnan(d_ma), 0.0, d_ma)  # motion awareness, 0 where absent
+        high = np.flatnonzero(score >= cfg.tau_high)
+        low = np.flatnonzero((cfg.tau_low <= score) & (score < cfg.tau_high))
 
-        high = [d for d in detections if d.score >= cfg.tau_high]
-        low = [d for d in detections if cfg.tau_low <= d.score < cfg.tau_high]
+        matched = np.zeros(len(self.ids), dtype=bool)
+        pairs = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0, dtype=bool),)]
 
-        matched_rows: set[int] = set()
-        matched_pairs: list[tuple[int, Detection, bool]] = []
+        def assign(rows, dj, cost, max_cost, gates=None):
+            """Match pool rows to detections dj; returns those left unmatched."""
+            cost = np.where(self.cls[rows][:, None] != d_cls[dj][None, :], FORBIDDEN_COST, cost)
+            res = hungarian(cost, max_cost)
+            ti, tj = np.array(res.matches, dtype=np.intp).reshape(-1, 2).T
+            pairs.append((rows[ti], dj[tj],
+                          np.ones(len(ti), dtype=bool) if gates is None else gates[ti, tj]))
+            matched[rows[ti]] = True
+            return dj[np.array(res.unmatched_detections, dtype=np.intp)]
 
-        def assign(rows, dets, cost, max_cost, gates=None):
-            """Match pool rows to dets; returns the dets left unmatched."""
-            res = hungarian(_class_mask(cost, classes[rows], dets), max_cost)
-            for ti, dj in res.matches:
-                gate = True if gates is None else bool(gates[ti, dj])
-                matched_pairs.append((rows[ti], dets[dj], gate))
-                matched_rows.add(rows[ti])
-            return [dets[j] for j in res.unmatched_detections]
-
-        # Pools hold row indices into the state arrays and `live`.
         # Stage 1: confirmed + lost tracks vs high-score detections.
-        pool1 = [r for r, t in enumerate(live)
-                 if t.lifecycle in (Lifecycle.CONFIRMED, Lifecycle.LOST)]
-        rest_high = list(high)
-        if pool1 and high:
-            icost = iou_cost(pred_boxes[pool1], [d.bbox for d in high])
+        state = self.state
+        pool1 = np.flatnonzero(state != _TENT)
+        rest_high = high
+        if pool1.size and high.size:
+            fused, gates = iou_cost(pred_boxes[pool1], boxes[high]), None
             if self.use_maa:
-                acost = appearance_cost([live[r] for r in pool1], high)
-                v_t = [live[r].v_ema for r in pool1]
-                v_d = [0.0 if d.motion_awareness is None else d.motion_awareness
-                       for d in high]
-                fused = maa_fuse(icost, acost, v_t, v_d, cfg)
-                gates = (np.maximum(np.asarray(v_t)[:, None],
-                                    np.asarray(v_d)[None, :]) >= cfg.tau_v)
-            else:
-                fused = icost
-                gates = None
+                acost = appearance_cost(self.emb[pool1], self.has_emb[pool1],
+                                        d_emb[high], d_has[high])
+                v_t, v_d = self.v_ema[pool1], d_v[high]
+                fused = maa_fuse(fused, acost, v_t, v_d, cfg)
+                gates = np.maximum.outer(v_t, v_d) >= cfg.tau_v
             rest_high = assign(pool1, high, fused, cfg.match_thresh_stage1, gates)
 
         # Stage 2: still-confirmed leftovers vs low-score detections, IoU only.
-        pool2 = [r for r in pool1
-                 if r not in matched_rows and live[r].lifecycle is Lifecycle.CONFIRMED]
-        if pool2 and low:
-            assign(pool2, low, iou_cost(pred_boxes[pool2], [d.bbox for d in low]),
-                   cfg.match_thresh_stage2)
+        pool2 = pool1[~matched[pool1] & (state[pool1] == _CONF)]
+        if pool2.size and low.size:
+            assign(pool2, low, iou_cost(pred_boxes[pool2], boxes[low]), cfg.match_thresh_stage2)
 
         # Tentative tracks chase the remaining high-score detections (IoU only).
-        tent = [r for r, t in enumerate(live) if t.lifecycle is Lifecycle.TENTATIVE]
-        if tent and rest_high:
-            rest_high = assign(tent, rest_high,
-                               iou_cost(pred_boxes[tent], [d.bbox for d in rest_high]),
+        tent = np.flatnonzero(state == _TENT)
+        if tent.size and rest_high.size:
+            rest_high = assign(tent, rest_high, iou_cost(pred_boxes[tent], boxes[rest_high]),
                                cfg.match_thresh_stage1)
 
-        if matched_pairs:
-            self._update_tracks(matched_pairs)
-        emitted = [(live[r].id, d.bbox) for r, d, _ in matched_pairs
-                   if live[r].lifecycle is Lifecycle.CONFIRMED]
+        rows, dj, gates = map(np.concatenate, zip(*pairs))
+        if rows.size:
+            self._update_tracks(rows, boxes[dj], d_ma[dj], d_emb[dj], d_has[dj] & ~gates)
 
-        # Age out everything that went unmatched this frame; removed tracks
-        # leave the track list and the state arrays.
-        for r, t in enumerate(live):
-            if r in matched_rows:
-                continue
-            t.age_since_update += 1
-            if t.lifecycle is Lifecycle.TENTATIVE:
-                t.lifecycle = Lifecycle.REMOVED
-            elif t.lifecycle is Lifecycle.CONFIRMED:
-                t.lifecycle = Lifecycle.LOST
-            elif t.lifecycle is Lifecycle.LOST and t.age_since_update > cfg.max_age:
-                t.lifecycle = Lifecycle.REMOVED
-                self._finished.append((t.id, t.history))
-        keep = [t.lifecycle is not Lifecycle.REMOVED for t in live]
-        if not all(keep):
-            self.tracks = [t for t, k in zip(live, keep) if k]
-            self.mean, self.cov = self.mean[keep], self.cov[keep]
+        # Spawn fresh tracks from leftover high-score detections. They count
+        # as matched: the log takes their boxes and aging skips them.
+        if k := rest_high.size:
+            means, covs = zip(*map(kf_init, boxes_to_measurements(boxes[rest_high])))
+            new = (np.arange(self._next_id, self._next_id + k), np.ones(k, dtype=np.int64),
+                   np.zeros(k, dtype=np.int64),
+                   np.full(k, _CONF if cfg.n_init <= 1 else _TENT, dtype=np.int8),
+                   d_cls[rest_high], d_v[rest_high], d_emb[rest_high], d_has[rest_high], means, covs)
+            for name, col in zip(self._COLUMNS, new):
+                setattr(self, name, np.concatenate([getattr(self, name), col]))
+            self._next_id += k
+            rows = np.concatenate([rows, np.arange(len(matched), len(self.ids))])
+            dj = np.concatenate([dj, rest_high])
+            matched = np.concatenate([matched, np.ones(k, dtype=bool)])
+        ids, state = self.ids[rows], self.state
+        out_boxes = [detections[j].bbox for j in dj]
+        self._log.append((frame, ids, out_boxes))
+        emitted = list(compress(zip(ids.tolist(), out_boxes), (state[rows] == _CONF).tolist()))
 
-        # Spawn fresh tracks from leftover high-score detections.
-        if rest_high:
-            z = boxes_to_measurements(as_xywh([d.bbox for d in rest_high]))
-            for d in rest_high:
-                t = Track(self._next_id, d, cfg)
-                self._next_id += 1
-                self.tracks.append(t)
-                if t.lifecycle is Lifecycle.CONFIRMED:
-                    emitted.append((t.id, d.bbox))
-            means, covs = zip(*map(kf_init, z))
-            self.mean = np.concatenate([self.mean, means])
-            self.cov = np.concatenate([self.cov, covs])
+        # Age out every row left unmatched: TENTATIVE and LOST past max_age
+        # are removed, CONFIRMED becomes LOST.
+        idle = ~matched
+        self.age[idle] += 1
+        removed = idle & ((state == _TENT) | ((state == _LOST) & (self.age > cfg.max_age)))
+        self._retired += self.ids[removed & (state == _LOST)].tolist()
+        state[idle & (state == _CONF)] = _LOST
+        if removed.any():
+            for name in self._COLUMNS:
+                setattr(self, name, getattr(self, name)[~removed])
         return emitted
 
     def trajectories(self) -> TrajectorySet:
         """All boxes of tracks that ever confirmed, earliest frames included,
         in id order."""
-        out = self._finished + [(t.id, t.history) for t in self.tracks
-                                if t.lifecycle is not Lifecycle.TENTATIVE]
-        return TrajectorySet.build(sorted(out, key=lambda p: p[0]))
+        ids = np.concatenate([np.zeros(0, dtype=np.int64), *(i for _, i, _ in self._log)])
+        frames = np.repeat([f for f, _, _ in self._log], [len(i) for _, i, _ in self._log])
+        boxes = list(chain.from_iterable(b for _, _, b in self._log))
+        order = np.argsort(ids, kind="stable")
+        order = order[np.isin(ids[order], self._retired + self.ids[self.state != _TENT].tolist())]
+        rows = zip(ids[order].tolist(), frames[order].tolist(), map(boxes.__getitem__, order))
+        return TrajectorySet.build((tid, [(f, b) for _, f, b in run])
+                                   for tid, run in groupby(rows, key=itemgetter(0)))
 
 
 def track_sequence(frame_detections: dict[int, list[Detection]],
@@ -304,7 +299,6 @@ def track_sequence(frame_detections: dict[int, list[Detection]],
                    use_maa: bool = True) -> TrajectorySet:
     """Run the tracker over a whole sequence and collect trajectories."""
     tracker = Tracker(cfg, use_maa=use_maa)
-    cmc_by_frame = cmc_by_frame or {}
     for frame in sorted(frame_detections):
-        tracker.step(frame, frame_detections[frame], cmc_by_frame.get(frame))
+        tracker.step(frame, frame_detections[frame], (cmc_by_frame or {}).get(frame))
     return tracker.trajectories()

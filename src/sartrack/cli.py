@@ -156,16 +156,18 @@ def cmd_lfa_demo(args) -> int:
 def cmd_render(args) -> int:
     tset = sio.records_to_trajectories(sio.parse_mot_file(_require_file(args.tracks)))
     by_frame = tset.boxes_by_frame()
-    os.makedirs(args.out_dir, exist_ok=True)
-    names = sorted(n for n in os.listdir(args.frames_dir) if n.endswith(".pgm"))
-    if not names:
+    stems = sorted(n[:-4] for n in os.listdir(args.frames_dir) if n.endswith(".pgm"))
+    if not stems:
         raise DataError(f"no .pgm frames in {args.frames_dir}")
-    for name in names:
-        frame_no = int(os.path.splitext(name)[0])
-        canvas = sio.read_pgm(os.path.join(args.frames_dir, name))
-        out = os.path.join(args.out_dir, os.path.splitext(name)[0] + ".ppm")
-        sio.render_frame(canvas, by_frame.get(frame_no, []), out)
-    print(f"rendered {len(names)} frames to {args.out_dir}")
+    for stem in stems:
+        if not stem.isdecimal():
+            raise DataError(f"{os.path.join(args.frames_dir, stem + '.pgm')}: frame files "
+                            f"must be named by frame number, like 000001.pgm")
+    os.makedirs(args.out_dir, exist_ok=True)
+    for stem in stems:
+        sio.render_frame(sio.read_pgm(os.path.join(args.frames_dir, stem + ".pgm")),
+                         by_frame.get(int(stem), []), os.path.join(args.out_dir, stem + ".ppm"))
+    print(f"rendered {len(stems)} frames to {args.out_dir}")
     return EXIT_OK
 
 

@@ -101,12 +101,10 @@ class TrajectorySet:
     @classmethod
     def build(cls, tracks) -> "TrajectorySet":
         frozen = tuple((int(tid), tuple((int(f), b) for f, b in seq)) for tid, seq in tracks)
-        ids = [tid for tid, _ in frozen]
-        if len(ids) != len(set(ids)):
+        if len({tid for tid, _ in frozen}) != len(frozen):
             raise ValueError("duplicate track ids")
         for tid, seq in frozen:
-            frames = [f for f, _ in seq]
-            if any(f2 <= f1 for f1, f2 in zip(frames, frames[1:])):
+            if any(b[0] <= a[0] for a, b in zip(seq, seq[1:])):
                 raise ValueError(f"track {tid} frames not strictly increasing")
         return cls(frozen)
 
@@ -117,8 +115,7 @@ class TrajectorySet:
         return sum(len(seq) for _, seq in self.tracks)
 
     def frames(self) -> list[int]:
-        out = sorted({f for _, seq in self.tracks for f, _ in seq})
-        return out
+        return sorted({f for _, seq in self.tracks for f, _ in seq})
 
     def boxes_by_frame(self) -> dict[int, list[tuple[int, BBox]]]:
         """frame -> list of (track id, box), in track-id order."""

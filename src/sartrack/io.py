@@ -12,7 +12,7 @@ import math
 import struct
 import sys
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,8 @@ class MotRecord:
     class_id: int
     visibility: float
     motion_awareness: float | None = None
+    # (path, line number) of a parsed record, so later checks can name it.
+    source: tuple[str, int] | None = field(default=None, compare=False, repr=False)
 
     def render(self) -> str:
         parts = [str(self.frame), str(self.track_id),
@@ -120,7 +122,7 @@ def parse_mot_file(path) -> list[MotRecord]:
             raise ParseError(path, line_no, f"box coordinate beyond {_COORD_MAX:.0f} px")
         if len(vals) == 10 and not 0.0 <= vals[9] <= 1.0:
             raise ParseError(path, line_no, f"motion awareness must be in [0,1], got {vals[9]}")
-        records.append(MotRecord(*vals))
+        records.append(MotRecord(*vals, source=(path, line_no)))
     records.sort(key=lambda r: r.frame)
     return records
 
@@ -147,12 +149,16 @@ def records_to_detections(records: list[MotRecord],
 
 
 def records_to_trajectories(records: list[MotRecord]) -> TrajectorySet:
-    tracks: dict[int, list] = {}
-    for r in records:
-        tracks.setdefault(r.track_id, []).append((r.frame, r.bbox()))
-    for seq in tracks.values():
-        seq.sort(key=lambda fb: fb[0])
-    return TrajectorySet.build(sorted(tracks.items()))
+    """Group records by track id; a second box of one track in one frame is
+    an error at that record's line."""
+    tracks: dict[int, dict[int, BBox]] = {}
+    for r in sorted(records, key=lambda r: r.frame):
+        boxes = tracks.setdefault(r.track_id, {})
+        if r.frame in boxes:
+            msg = f"track {r.track_id} already has a box in frame {r.frame}"
+            raise ParseError(*r.source, msg) if r.source else ValueError(msg)
+        boxes[r.frame] = r.bbox()
+    return TrajectorySet.build((tid, boxes.items()) for tid, boxes in sorted(tracks.items()))
 
 
 def write_mot_file(tset: TrajectorySet, path) -> None:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sartrack.assoc import (AssociationResult, Lifecycle, Track, Tracker,
-                            TrackerConfig, appearance_cost, hungarian, iou_cost,
-                            maa_fuse, track_sequence)
+from sartrack.assoc import (AssociationResult, Lifecycle, Tracker, TrackerConfig,
+                            appearance_cost, hungarian, iou_cost, maa_fuse,
+                            track_sequence)
 from sartrack.core import BBox, Detection
 from sartrack.io import load_config
 from sartrack.metrics import clear_mot
@@ -76,12 +76,9 @@ def test_iou_cost_values():
 
 
 def test_appearance_cost_values():
-    cfg = TrackerConfig()
-    e1 = np.array([1.0, 0.0])
-    t = Track(1, det(1, 0, 0, emb=e1), cfg)
-    dets = [det(1, 0, 0, emb=e1), det(1, 0, 0, emb=-e1),
-            det(1, 0, 0, emb=np.array([0.0, 1.0])), det(1, 0, 0)]
-    c = appearance_cost([t], dets)
+    e1 = np.array([[1.0, 0.0]])
+    d_emb = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    c = appearance_cost(e1, np.array([True]), d_emb, np.array([True, True, True, False]))
     np.testing.assert_allclose(c[0, :3], [0.0, 1.0, 0.5])
     assert np.isnan(c[0, 3])
 
@@ -89,22 +86,39 @@ def test_appearance_cost_values():
 @pytest.mark.parametrize("dim", [2, 8, 16, 64])
 def test_appearance_cost_matches_per_pair_dot(dim):
     rng = np.random.default_rng(dim)
-    cfg = TrackerConfig()
-
-    def unit():
-        v = rng.normal(size=dim)
-        return v / np.linalg.norm(v)
-
-    tracks = [Track(i, det(1, 0, 0, emb=unit() if i % 3 else None), cfg) for i in range(7)]
-    dets = [det(1, 0, 0, emb=unit() if j % 4 else None) for j in range(9)]
-    c = appearance_cost(tracks, dets)
-    for i, t in enumerate(tracks):
-        for j, d in enumerate(dets):
-            if t.ema_embedding is None or d.embedding is None:
+    t_emb = rng.normal(size=(7, dim))
+    t_emb /= np.linalg.norm(t_emb, axis=1, keepdims=True)
+    d_emb = rng.normal(size=(9, dim))
+    d_emb /= np.linalg.norm(d_emb, axis=1, keepdims=True)
+    t_has = np.arange(7) % 3 != 0
+    d_has = np.arange(9) % 4 != 0
+    c = appearance_cost(t_emb, t_has, d_emb, d_has)
+    for i in range(7):
+        for j in range(9):
+            if not (t_has[i] and d_has[j]):
                 assert np.isnan(c[i, j])
             else:
-                want = (1.0 - float(np.dot(t.ema_embedding, d.embedding))) / 2.0
+                want = (1.0 - float(np.dot(t_emb[i], d_emb[j]))) / 2.0
                 assert abs(c[i, j] - want) <= 1e-12
+
+
+def test_tracker_embeddings_follow_the_gate():
+    """A track without an embedding takes its first one as it is; a match
+    whose motion gate fires leaves the EMA alone; one below the gate mixes
+    and renormalizes."""
+    cfg = TrackerConfig(n_init=1, ema_alpha=0.5, v_ema_alpha=0.0)
+    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    tracker = Tracker(cfg)
+    tracker.step(1, [det(1, 10, 10, ma=0.0)])
+    assert tracker.has_emb.tolist() == [False]
+    tracker.step(2, [det(2, 10, 10, ma=0.0, emb=e1)])
+    assert tracker.has_emb.tolist() == [True] and np.array_equal(tracker.emb[0], e1)
+    tracker.step(3, [det(3, 10, 10, ma=0.9, emb=e2)])  # gate fires: frozen
+    assert np.array_equal(tracker.emb[0], e1)
+    tracker.step(4, [det(4, 10, 10, ma=0.0)])  # the track's v_ema drops back to 0
+    assert np.array_equal(tracker.emb[0], e1)
+    tracker.step(5, [det(5, 10, 10, ma=0.0, emb=e2)])
+    np.testing.assert_allclose(tracker.emb[0], [np.sqrt(0.5), np.sqrt(0.5)], rtol=1e-15)
 
 
 def test_maa_fuse_full_discard_is_bitwise_iou():
@@ -216,7 +230,7 @@ def test_unconfirmed_tracks_leave_the_track_list():
 def test_tracker_invariants_on_random_streams(seed, n_frames, n_init, max_age, use_maa):
     rng = np.random.default_rng(seed)
     tracker = Tracker(TrackerConfig(n_init=n_init, max_age=max_age), use_maa=use_maa)
-    owner: dict[int, Track] = {}
+    seen: set[int] = set()
     removed: set[int] = set()
     for f in range(1, n_frames + 1):
         # A few slow walkers near a shared spot, so tracks meet, split and die.
@@ -230,13 +244,15 @@ def test_tracker_invariants_on_random_streams(seed, n_frames, n_init, max_age, u
         assert len(ids) == len(set(ids))
         assert all(b in {d.bbox for d in dets} for _, b in out)
         assert not removed & set(ids)
-        # `tracks` holds live tracks only, one per state-array row.
+        # `tracks` holds live rows only, one per row of every table column.
         assert all(t.lifecycle is not Lifecycle.REMOVED for t in tracker.tracks)
-        assert len(tracker.tracks) == len(tracker.mean) == len(tracker.cov)
-        for t in tracker.tracks:
-            assert owner.setdefault(t.id, t) is t  # an id names one track only
-        gone = set(owner) - {t.id for t in tracker.tracks}
-        removed |= gone | {t.id for t in tracker.tracks if t.lifecycle is Lifecycle.REMOVED}
+        for name in Tracker._COLUMNS:
+            assert len(getattr(tracker, name)) == len(tracker.tracks)
+        live = [t.id for t in tracker.tracks]
+        assert len(live) == len(set(live))  # ids are unique among live rows
+        assert not removed & set(live)  # an id that left never comes back
+        seen |= set(live)
+        removed |= seen - set(live)
     for _, seq in tracker.trajectories().tracks:
         frames = [fr for fr, _ in seq]
         assert all(a < b for a, b in zip(frames, frames[1:]))

@@ -325,3 +325,53 @@ def test_render_no_frames_is_data_error(capsys, tmp_path):
     code, _, err = run(capsys, "render", "--frames-dir", str(empty),
                        "--tracks", str(tracks), "--out-dir", str(tmp_path / "o"))
     assert code == 2
+
+
+_DUP = "1,1,0,0,10,10,1,-1,-1\n2,1,2,2,10,10,1,-1,-1\n1,1,5,5,10,10,1,-1,-1\n"
+_OK = "1,1,0,0,10,10,1,-1,-1\n2,1,2,2,10,10,1,-1,-1\n"
+
+
+@pytest.mark.parametrize("role", ["--gt", "--res", "render"])
+def test_repeated_track_frame_names_file_and_line(capsys, tmp_path, role):
+    dup, ok = tmp_path / "dup.txt", tmp_path / "ok.txt"
+    dup.write_text(_DUP)
+    ok.write_text(_OK)
+    if role == "render":
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        write_pgm(np.zeros((16, 16), dtype=np.uint8), frames / "000001.pgm")
+        argv = ["render", "--frames-dir", str(frames), "--tracks", str(dup),
+                "--out-dir", str(tmp_path / "vis")]
+    else:
+        files = {"--gt": ok, "--res": ok, role: dup}
+        argv = ["eval", "--gt", str(files["--gt"]), "--res", str(files["--res"])]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"{dup}:3: track 1 already has a box in frame 1" in err
+    assert not (tmp_path / "vis").exists()
+
+
+def test_render_non_numeric_frame_name_is_data_error(capsys, tmp_path):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    write_pgm(np.zeros((16, 16), dtype=np.uint8), frames / "000001.pgm")
+    write_pgm(np.zeros((16, 16), dtype=np.uint8), frames / "abc.pgm")
+    tracks = tmp_path / "t.txt"
+    tracks.write_text(_OK)
+    out = tmp_path / "vis"
+    code, _, err = run(capsys, "render", "--frames-dir", str(frames),
+                       "--tracks", str(tracks), "--out-dir", str(out))
+    assert code == 2
+    assert f"{frames / 'abc.pgm'}: frame files must be named by frame number" in err
+    assert not out.exists()
+
+
+def test_render_missing_frames_dir_leaves_no_output(capsys, tmp_path):
+    tracks = tmp_path / "t.txt"
+    tracks.write_text(_OK)
+    out = tmp_path / "vis"
+    code, _, err = run(capsys, "render", "--frames-dir", str(tmp_path / "nope"),
+                       "--tracks", str(tracks), "--out-dir", str(out))
+    assert code == 2
+    assert str(tmp_path / "nope") in err
+    assert not out.exists()

@@ -33,15 +33,26 @@ VALID = {
 _TOKENS = [b",", b".", b"-", b"+", b"e", b"0", b"1", b"9", b" ", b"\n", b"=", b"#",
            b"nan", b"1e999", b"\xe9", b"\xff", b"inf"]
 
-# One mutation: insert a token, or delete 1-3 bytes, at a position taken
-# modulo the current length.
+_REPEAT_LINE = "repeat line"
+
+# One mutation: insert a token or delete 1-3 bytes at a position taken
+# modulo the current length, or repeat the whole line at a position taken
+# modulo the line count.
 _MUTATION = st.tuples(st.integers(0, 10**6),
-                      st.one_of(st.sampled_from(_TOKENS), st.integers(1, 3)))
+                      st.one_of(st.sampled_from(_TOKENS), st.integers(1, 3),
+                                st.just(_REPEAT_LINE)))
 _MUTATIONS = st.lists(_MUTATION, min_size=1, max_size=4)
 
 
 def mutate(data: bytes, mutations) -> bytes:
     for pos, op in mutations:
+        if op == _REPEAT_LINE:
+            lines = data.splitlines(keepends=True)
+            if lines:
+                i = pos % len(lines)
+                lines[i:i + 1] = [lines[i].rstrip(b"\n") + b"\n"] * 2
+                data = b"".join(lines)
+            continue
         i = pos % (len(data) + 1)
         data = data[:i] + op + data[i:] if isinstance(op, bytes) else data[:i] + data[i + op:]
     return data

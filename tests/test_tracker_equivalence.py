@@ -1,10 +1,14 @@
-"""The stacked Kalman filter and the array-backed Tracker against the frozen
+"""The stacked Kalman filter and the table-backed Tracker against the frozen
 per-track implementation in tracker_reference.py."""
+from dataclasses import replace
+
 import numpy as np
+import pytest
 import tracker_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sartrack import synthsim
 from sartrack.assoc import Tracker, TrackerConfig
 from sartrack.core import BBox, Detection
 from sartrack.motion import Affine2x3, apply_cmc, kf_init, kf_predict, kf_update
@@ -122,6 +126,30 @@ def _scene(rng, n_targets, n_frames, n_classes, emb_dim, with_ma, with_cmc):
     return dets, cmc
 
 
+def _assert_trackers_agree(dets, cmc, cfg, use_maa):
+    """Step the array tracker and the frozen reference side by side; after
+    every frame their emitted lists, live rows, appearance EMAs and Kalman
+    state must be equal bit for bit, and so must the final trajectories."""
+    new, old = Tracker(cfg, use_maa=use_maa), ref.Tracker(cfg, use_maa=use_maa)
+    for f in sorted(dets):
+        assert new.step(f, dets[f], cmc[f]) == old.step(f, dets[f], cmc[f])
+        # Live rows agree in order, bookkeeping and Kalman state.
+        live_old = [t for t in old.tracks if t.lifecycle.value != "removed"]
+        assert ([(t.id, t.lifecycle.value, t.hits, t.age_since_update, t.v_ema)
+                 for t in new.tracks] ==
+                [(t.id, t.lifecycle.value, t.hits, t.age_since_update, t.v_ema)
+                 for t in live_old])
+        old_mean = np.array([t.kstate.mean for t in live_old]).reshape(-1, 8)
+        old_cov = np.array([t.kstate.cov for t in live_old]).reshape(-1, 8, 8)
+        assert np.array_equal(new.mean, old_mean) and np.array_equal(new.cov, old_cov)
+        # The appearance EMA is the one place where batching could change bits.
+        assert new.has_emb.tolist() == [t.ema_embedding is not None for t in live_old]
+        for row, t in zip(new.emb, live_old):
+            if t.ema_embedding is not None:
+                assert np.array_equal(row, t.ema_embedding)
+    assert new.trajectories() == old.trajectories()
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=_SEED, n_targets=st.integers(0, 6), n_frames=st.integers(1, 25),
        n_classes=st.integers(1, 3), emb_dim=st.sampled_from((0, 4, 8)),
@@ -131,18 +159,28 @@ def test_tracker_equals_reference(seed, n_targets, n_frames, n_classes, emb_dim,
                                   with_ma, with_cmc, use_maa, n_init, max_age):
     rng = np.random.default_rng(seed)
     dets, cmc = _scene(rng, n_targets, n_frames, n_classes, emb_dim, with_ma, with_cmc)
-    cfg = TrackerConfig(n_init=n_init, max_age=max_age)
-    new, old = Tracker(cfg, use_maa=use_maa), ref.Tracker(cfg, use_maa=use_maa)
-    for f in sorted(dets):
-        assert new.step(f, dets[f], cmc[f]) == old.step(f, dets[f], cmc[f])
-        # Live tracks agree in order, bookkeeping and Kalman state.
-        live_new = [t for t in new.tracks if t.lifecycle.value != "removed"]
-        live_old = [t for t in old.tracks if t.lifecycle.value != "removed"]
-        assert ([(t.id, t.lifecycle.value, t.hits, t.age_since_update, t.v_ema)
-                 for t in live_new] ==
-                [(t.id, t.lifecycle.value, t.hits, t.age_since_update, t.v_ema)
-                 for t in live_old])
-        old_mean = np.array([t.kstate.mean for t in live_old]).reshape(-1, 8)
-        old_cov = np.array([t.kstate.cov for t in live_old]).reshape(-1, 8, 8)
-        assert np.array_equal(new.mean, old_mean) and np.array_equal(new.cov, old_cov)
-    assert new.trajectories() == old.trajectories()
+    _assert_trackers_agree(dets, cmc, TrackerConfig(n_init=n_init, max_age=max_age), use_maa)
+
+
+@pytest.mark.parametrize("use_maa", [True, False])
+def test_tracker_equals_reference_on_synth_scene(use_maa):
+    """A synthsim scene with 3 classes, flipping embeddings, clutter and a
+    drifting camera that CMC compensates."""
+    frames = 60
+    scene = synthsim.generate_scene(synthsim.ScenarioConfig(
+        seed=11, frames=frames, n_moving=12, width=256, height=256, speed_min=1.0,
+        speed_max=4.0, appearance_flip_speed=3.0, p_toggle=0.05))
+    raw = synthsim.perturb_detections(scene, synthsim.PerturbConfig(
+        seed=12, jitter_sigma=0.2, p_fn=0.1, lambda_fp=2.0))
+    steps = np.random.default_rng(13).normal(0.0, 1.0, (frames, 2))
+    steps[0] = 0.0
+    offsets = np.cumsum(steps, axis=0)
+    dets, cmc = {}, {}
+    for f in range(1, frames + 1):
+        dx, dy = offsets[f - 1]
+        dets[f] = [replace(d, bbox=BBox(d.bbox.x + dx, d.bbox.y + dy, d.bbox.w, d.bbox.h))
+                   for d in raw.get(f, [])]
+        cmc[f] = Affine2x3(np.array([[1.0, 0.0, steps[f - 1, 0]], [0.0, 1.0, steps[f - 1, 1]]]))
+    assert len({d.class_id for ds in dets.values() for d in ds}) == 3
+    assert sum(d.embedding is not None for ds in dets.values() for d in ds) > 0
+    _assert_trackers_agree(dets, cmc, TrackerConfig(), use_maa)
