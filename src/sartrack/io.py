@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import re
 import struct
 import sys
 import typing
@@ -282,6 +284,9 @@ def write_tensor(x: np.ndarray, path) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
+    """An (H, W, C) float array. H, W and C must be at least 1, the file must
+    hold the whole payload (checked before it is read) and every value must
+    be finite; anything else is a ValueError naming the path."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != TENSOR_MAGIC:
@@ -290,32 +295,40 @@ def read_tensor(path) -> np.ndarray:
         if len(header) < 12:
             raise ValueError(f"{path}: truncated tensor header")
         h, w, c = struct.unpack("<III", header)
-        data = np.frombuffer(fh.read(8 * h * w * c), dtype="<f8")
-    if data.size != h * w * c:
-        raise ValueError(f"{path}: truncated tensor payload")
+        if min(h, w, c) < 1:
+            raise ValueError(f"{path}: tensor dimensions must be >= 1, got {h}x{w}x{c}")
+        nbytes = 8 * h * w * c
+        if os.fstat(fh.fileno()).st_size - fh.tell() < nbytes:
+            raise ValueError(f"{path}: truncated tensor payload")
+        data = np.frombuffer(fh.read(nbytes), dtype="<f8")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite value in tensor")
     return data.reshape(c, h, w).transpose(1, 2, 0).copy()
 
 
+# One PGM header field: whitespace and `#` comments, then the field itself.
+_PGM_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def read_pgm(path) -> np.ndarray:
-    """Binary 8-bit PGM (P5) as a (H, W) uint8 array."""
+    """Binary 8-bit PGM (P5) as a (H, W) uint8 array. Width and height must
+    be at least 1; a bad header is a ValueError naming the path."""
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens = []
-    i = 0
-    while len(tokens) < 4:
-        while i < len(data) and data[i:i + 1].isspace():
-            i += 1
-        if data[i:i + 1] == b"#":
-            while i < len(data) and data[i] != 0x0A:
-                i += 1
-            continue
-        start = i
-        while i < len(data) and not data[i:i + 1].isspace():
-            i += 1
-        tokens.append(data[start:i])
-    if tokens[0] != b"P5":
+    fields, i = [], 0
+    for _ in range(4):
+        m = _PGM_FIELD.match(data, i)
+        fields.append(m.group(1))
+        i = m.end()
+    if fields[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    for f in fields[1:]:
+        if not f.isdigit():
+            raise ValueError(f"{path}: bad PGM header field {f[:16]!r}; expected "
+                             f"`P5 width height 255` and one whitespace byte")
+    w, h, maxval = map(int, fields[1:])
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: PGM width and height must be >= 1, got {w}x{h}")
     if maxval != 255:
         raise ValueError(f"{path}: only 8-bit PGM supported")
     pixels = np.frombuffer(data[i + 1:i + 1 + w * h], dtype=np.uint8)

@@ -36,37 +36,10 @@ def normalize_velocities(v) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TwoLayerMlp:
-    """Fixed two-layer affine map with an elementwise max(0, .) between."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def __call__(self, v) -> np.ndarray:
-        h = np.maximum(self.w1 @ np.asarray(v, dtype=float) + self.b1, 0.0)
-        return self.w2 @ h + self.b2
-
-    @classmethod
-    def passthrough(cls, in_dim: int, out_dim: int) -> "TwoLayerMlp":
-        """Identity on the first min(in_dim, out_dim) coordinates."""
-        w1 = np.eye(out_dim, in_dim)
-        w2 = np.eye(out_dim)
-        return cls(w1, np.zeros(out_dim), w2, np.zeros(out_dim))
-
-    @classmethod
-    def zeros(cls, in_dim: int, out_dim: int) -> "TwoLayerMlp":
-        return cls(np.zeros((out_dim, in_dim)), np.zeros(out_dim),
-                   np.zeros((out_dim, out_dim)), np.zeros(out_dim))
-
-
-@dataclass(frozen=True)
 class LfaConfig:
     image_w: float
     image_h: float
     lambda_max: float = 0.4
-    mlp: TwoLayerMlp | None = None
 
     def __post_init__(self):
         for name in ("image_w", "image_h", "lambda_max"):
@@ -132,10 +105,18 @@ def neighborhood_pool(a_soft, center, radius: float) -> np.ndarray:
 
 
 def enhance_proposal(p: Proposal, a_soft, cfg: LfaConfig) -> Proposal:
-    """Add pooled line-feature context (through the MLP) to the proposal."""
+    """Add the rectified pooled line intensity, max(pooled, 0), to the first
+    min(C, k) of the proposal's k features and +0.0 to the rest.
+
+    This is the paper's pooling MLP with identity weights and a max(0, .)
+    between its layers. Like that map, it turns a -0.0 feature or pooled
+    value into 0.0. A non-finite pooled channel raises ValueError.
+    """
     r = adaptive_radius(p.bbox, p.v_hat, cfg)
     pooled = neighborhood_pool(a_soft, p.bbox.center(), r)
-    mlp = cfg.mlp
-    if mlp is None:
-        mlp = TwoLayerMlp.passthrough(pooled.shape[0], p.feature.shape[0])
-    return Proposal(p.bbox, p.feature + mlp(pooled), p.v_hat)
+    if not np.all(np.isfinite(pooled)):
+        raise ValueError("pooled line intensity contains non-finite values")
+    gain = np.zeros_like(p.feature)
+    n = min(pooled.shape[0], gain.shape[0])
+    gain[:n] = np.where(pooled[:n] > 0, pooled[:n], 0.0)
+    return Proposal(p.bbox, p.feature + gain, p.v_hat)

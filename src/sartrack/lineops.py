@@ -1,5 +1,6 @@
 """Line-feature focusing: discrete Radon accumulation, thresholded
-back-projection, spatial softmax, and gated fusion.
+back-projection, spatial softmax, and the fusion Z = 1.5 * x + 0.5 * A_soft
+that the paper's gated fusion gives at zero (untrained) weights.
 
 Feature maps are numpy arrays of shape (H, W, C); Radon-domain maps are
 (n_angles, n_rho, C). The forward transform assigns every pixel to exactly
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,43 +174,17 @@ def soft_normalize(a) -> np.ndarray:
     return (e / e.sum(axis=0, keepdims=True)).reshape(h, w, c)
 
 
-@dataclass(frozen=True)
-class FusionParams:
-    """Channel-mixing weights of the 1x1 fusion gate, shape (2C, 2C)."""
+def gated_fuse(x, a_soft) -> np.ndarray:
+    """Residual blend 1.5 * x + 0.5 * a_soft of the input and line maps.
 
-    weight: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weight, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2 != 0:
-            raise ValueError(f"fusion weight must be square (2C, 2C), got {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("fusion weight contains non-finite values")
-        object.__setattr__(self, "weight", w)
-
-    @classmethod
-    def zeros(cls, channels: int) -> "FusionParams":
-        return cls(np.zeros((2 * channels, 2 * channels)))
-
-
-def gated_fuse(x, a_soft, params: FusionParams) -> np.ndarray:
-    """Residual-gated blend of the input map with the line-intensity map.
-
-    concat -> 1x1 mix -> sigmoid gives per-pixel gates [gx, ga];
-    output = (gx + 1) * x + ga * a_soft.
+    This is the paper's gated 1x1 fusion at zero (untrained) weights: both
+    gates are sigmoid(0) = 0.5, and the input keeps its residual term.
     """
     x = _as_hwc(x)
     a_soft = _as_hwc(a_soft)
     if x.shape != a_soft.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {a_soft.shape}")
-    c = x.shape[2]
-    if params.weight.shape != (2 * c, 2 * c):
-        raise ValueError(f"params shape {params.weight.shape} incompatible with C={c}")
-    cat = np.concatenate([x, a_soft], axis=2)
-    mixed = cat @ params.weight.T
-    gates = 1.0 / (1.0 + np.exp(-mixed))
-    gx, ga = gates[:, :, :c], gates[:, :, c:]
-    return (gx + 1.0) * x + ga * a_soft
+    return 1.5 * x + 0.5 * a_soft
 
 
 def default_tau(y) -> np.ndarray:
@@ -220,25 +194,23 @@ def default_tau(y) -> np.ndarray:
 
 
 def lffm(x, n_angles: int | None = None, n_rho: int | None = None,
-         tau: float | None = None,
-         params: FusionParams | None = None) -> tuple[np.ndarray, np.ndarray]:
+         tau: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Full line-feature enhancement pass.
 
-    Returns (fused map Z, line-intensity map A_soft), both shaped like x.
+    Returns (fused map Z = ``gated_fuse(x, A_soft)``, line-intensity map
+    A_soft), both shaped like x.
     """
     x = _as_hwc(x)
-    h, w, c = x.shape
+    h, w, _ = x.shape
     da, dr = default_bins(h, w)
     n_angles = da if n_angles is None else n_angles
     n_rho = dr if n_rho is None else n_rho
     if tau is not None and not np.all(np.isfinite(tau)):
         raise ValueError(f"tau must be finite, got {tau}")
-    if params is None:
-        params = FusionParams.zeros(c)
     y = radon_forward(x, n_angles, n_rho)
     if tau is None:
         tau = default_tau(y)
     raw = radon_backproject(y, tau, h, w)
     a_soft = soft_normalize(raw)
-    z = gated_fuse(x, a_soft, params)
+    z = gated_fuse(x, a_soft)
     return z, a_soft

@@ -1,13 +1,26 @@
-"""Frozen reference for the equivalence tests: neighborhood_pool and
-radon_backproject as they were when the pool tested every pixel of the map
-and the back-projection gathered all channels per angle, kept verbatim apart
-from this docstring. Test-only; do not change it to follow the library.
+"""Frozen reference for the equivalence tests, test-only; do not change it to
+follow the library.
+
+- ``neighborhood_pool`` and ``radon_backproject`` as they were when the pool
+  tested every pixel of the map and the back-projection gathered all
+  channels per angle.
+- ``FusionParams``, ``gated_fuse``, ``TwoLayerMlp`` and ``enhance_proposal``
+  as they were when the fusion gate and the pooling MLP held weights. The
+  MLP used to sit on ``LfaConfig.mlp``; here it is an argument of
+  ``enhance_proposal`` that defaults to the same pass-through. That
+  function pools through the library's ``lfa.neighborhood_pool``, as it did.
+
+The code is kept verbatim apart from those two names and this docstring.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from sartrack.lineops import _rho_bins
+from sartrack import lfa
+from sartrack.lfa import Proposal
+from sartrack.lineops import _as_hwc, _rho_bins
 
 
 def radon_backproject(y, tau, h: int, w: int) -> np.ndarray:
@@ -39,3 +52,77 @@ def neighborhood_pool(a_soft, center, radius: float) -> np.ndarray:
     mask = (xs - cx) ** 2 + (ys - cy) ** 2 <= radius ** 2
     mask[min(h - 1, round(cy)), min(w - 1, round(cx))] = True
     return a[mask].mean(axis=0)
+
+
+@dataclass(frozen=True)
+class FusionParams:
+    """Channel-mixing weights of the 1x1 fusion gate, shape (2C, 2C)."""
+
+    weight: np.ndarray
+
+    def __post_init__(self):
+        w = np.asarray(self.weight, dtype=float)
+        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2 != 0:
+            raise ValueError(f"fusion weight must be square (2C, 2C), got {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("fusion weight contains non-finite values")
+        object.__setattr__(self, "weight", w)
+
+    @classmethod
+    def zeros(cls, channels: int) -> "FusionParams":
+        return cls(np.zeros((2 * channels, 2 * channels)))
+
+
+def gated_fuse(x, a_soft, params: FusionParams) -> np.ndarray:
+    """Residual-gated blend of the input map with the line-intensity map.
+
+    concat -> 1x1 mix -> sigmoid gives per-pixel gates [gx, ga];
+    output = (gx + 1) * x + ga * a_soft.
+    """
+    x = _as_hwc(x)
+    a_soft = _as_hwc(a_soft)
+    if x.shape != a_soft.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {a_soft.shape}")
+    c = x.shape[2]
+    if params.weight.shape != (2 * c, 2 * c):
+        raise ValueError(f"params shape {params.weight.shape} incompatible with C={c}")
+    cat = np.concatenate([x, a_soft], axis=2)
+    mixed = cat @ params.weight.T
+    gates = 1.0 / (1.0 + np.exp(-mixed))
+    gx, ga = gates[:, :, :c], gates[:, :, c:]
+    return (gx + 1.0) * x + ga * a_soft
+
+
+@dataclass(frozen=True)
+class TwoLayerMlp:
+    """Fixed two-layer affine map with an elementwise max(0, .) between."""
+
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+
+    def __call__(self, v) -> np.ndarray:
+        h = np.maximum(self.w1 @ np.asarray(v, dtype=float) + self.b1, 0.0)
+        return self.w2 @ h + self.b2
+
+    @classmethod
+    def passthrough(cls, in_dim: int, out_dim: int) -> "TwoLayerMlp":
+        """Identity on the first min(in_dim, out_dim) coordinates."""
+        w1 = np.eye(out_dim, in_dim)
+        w2 = np.eye(out_dim)
+        return cls(w1, np.zeros(out_dim), w2, np.zeros(out_dim))
+
+    @classmethod
+    def zeros(cls, in_dim: int, out_dim: int) -> "TwoLayerMlp":
+        return cls(np.zeros((out_dim, in_dim)), np.zeros(out_dim),
+                   np.zeros((out_dim, out_dim)), np.zeros(out_dim))
+
+
+def enhance_proposal(p: Proposal, a_soft, cfg, mlp: TwoLayerMlp | None = None) -> Proposal:
+    """Add pooled line-feature context (through the MLP) to the proposal."""
+    r = lfa.adaptive_radius(p.bbox, p.v_hat, cfg)
+    pooled = lfa.neighborhood_pool(a_soft, p.bbox.center(), r)
+    if mlp is None:
+        mlp = TwoLayerMlp.passthrough(pooled.shape[0], p.feature.shape[0])
+    return Proposal(p.bbox, p.feature + mlp(pooled), p.v_hat)

@@ -1,8 +1,11 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sartrack.cli import main
-from sartrack.io import read_tensor, write_pgm, write_tensor
+from sartrack.io import TENSOR_MAGIC, read_tensor, write_pgm, write_tensor
 
 
 def run(capsys, *argv):
@@ -375,3 +378,78 @@ def test_render_missing_frames_dir_leaves_no_output(capsys, tmp_path):
     assert code == 2
     assert str(tmp_path / "nope") in err
     assert not out.exists()
+
+
+def _tensor_bytes(h, w, c, payload=b""):
+    return TENSOR_MAGIC + struct.pack("<III", h, w, c) + payload
+
+
+def _map_with(value, y, x):
+    a = np.full((20, 20), 1.0 / 400)
+    a[y, x] = value
+    return _tensor_bytes(20, 20, 1, a.astype("<f8").tobytes())
+
+
+# Each is exit 2 with a message that starts with the tensor's path. The
+# proposal used with them is centered at (4, 4) with a 4 px pooling disk.
+_BAD_TENSORS = {
+    # 100000 x 100000 x 100 doubles: 8e12 bytes that the file does not hold.
+    "huge-header": (_tensor_bytes(100000, 100000, 100), "truncated tensor payload"),
+    "zero-dims": (_tensor_bytes(0, 0, 0), "tensor dimensions must be >= 1"),
+    "zero-width": (_tensor_bytes(20, 0, 1), "tensor dimensions must be >= 1"),
+    "nan": (_map_with(np.nan, 10, 10), "non-finite value in tensor"),
+    "inf-inside-disk": (_map_with(np.inf, 4, 4), "non-finite value in tensor"),
+    "inf-outside-disk": (_map_with(np.inf, 19, 19), "non-finite value in tensor"),
+}
+
+_BAD_PGMS = {
+    "no-height": (b"P5\n12", "bad PGM header field b''"),
+    "bad-width": (b"P5\nx 4\n255\n", "bad PGM header field b'x'"),
+    "no-space-before-pixels": (b"P5\n4 4\n255" + bytes(range(100, 116)),
+                               "bad PGM header field b'255defghijklmnop'"),
+    "zero-width": (b"P5\n0 5\n255\n", "PGM width and height must be >= 1, got 0x5"),
+}
+
+
+def _bad_file_argv(tmp_path, command, content):
+    """The argv that hands ``content`` to ``command``, and the file's path."""
+    if command == "render":
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        bad = frames / "000001.pgm"
+        tracks = tmp_path / "t.txt"
+        tracks.write_text(_OK)
+        argv = ["render", "--frames-dir", str(frames), "--tracks", str(tracks),
+                "--out-dir", str(tmp_path / "vis")]
+    elif command == "lfa-demo":
+        bad = tmp_path / "a.vsfm"
+        props = tmp_path / "props.txt"
+        props.write_text("2 2 4 4 0.0 1 2\n")
+        argv = ["lfa-demo", "--asoft", str(bad), "--proposals", str(props),
+                "--out", str(tmp_path / "enh.txt")]
+    else:
+        bad = tmp_path / ("in.vsfm" if content.startswith(TENSOR_MAGIC) else "in.pgm")
+        argv = ["lineops", "--in", str(bad), "--out", str(tmp_path / "lo")]
+    bad.write_bytes(content)
+    return argv, bad
+
+
+@pytest.mark.parametrize("command,content,message", [
+    pytest.param(cmd, *cases[name], id=f"{cmd}-{kind}-{name}")
+    for kind, cmds, cases in (("tensor", ("lineops", "lfa-demo"), _BAD_TENSORS),
+                              ("pgm", ("lineops", "render"), _BAD_PGMS))
+    for cmd in cmds for name in cases
+])
+def test_bad_tensor_or_pgm_names_its_file(capsys, tmp_path, command, content, message):
+    argv, bad = _bad_file_argv(tmp_path, command, content)
+    # No reader may allocate what a header asks for before checking it.
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err.startswith(f"sartrack: error: {bad}: {message}")
+    assert peak < 1 << 20
+    assert not (tmp_path / "lo").exists() and not (tmp_path / "enh.txt").exists()

@@ -225,6 +225,15 @@ def test_pgm_round_trip(tmp_path):
     np.testing.assert_array_equal(read_pgm(p), img)
 
 
+def test_pgm_header_comments_and_whitespace(tmp_path):
+    """Fields may be split by any whitespace and `#` comments; the pixels
+    start after exactly one whitespace byte, which may itself be pixel-like."""
+    pixels = bytes([32, 10, 35, 7, 255, 0])
+    p = tmp_path / "i.pgm"
+    p.write_bytes(b"# lead\nP5\t# one\n3\r\n# two\n 2 #three\n255\n" + pixels)
+    np.testing.assert_array_equal(read_pgm(p), np.frombuffer(pixels, np.uint8).reshape(2, 3))
+
+
 def test_render_no_boxes_preserves_canvas(tmp_path):
     canvas = np.arange(64, dtype=np.uint8).reshape(8, 8)
     p = tmp_path / "o.ppm"

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from sartrack.core import BBox
-from sartrack.lfa import (LfaConfig, Proposal, TwoLayerMlp, adaptive_radius,
-                          enhance_proposal, neighborhood_pool, normalize_velocities,
-                          velocity_target)
+from sartrack.lfa import (LfaConfig, Proposal, adaptive_radius, enhance_proposal,
+                          neighborhood_pool, normalize_velocities, velocity_target)
 from sartrack.motion import Affine2x3
 
 
@@ -123,20 +122,24 @@ def test_neighborhood_pool_center_outside():
         neighborhood_pool(np.zeros((4, 4, 1)), (10, 1), 1.0)
 
 
-def test_enhance_proposal_zero_mlp():
-    a = np.full((8, 8, 3), 1 / 64)
-    cfg = LfaConfig(image_w=8, image_h=8, mlp=TwoLayerMlp.zeros(3, 3))
-    p = Proposal(BBox(2, 2, 2, 2), np.array([1.0, 2.0, 3.0]), 0.5)
-    out = enhance_proposal(p, a, cfg)
-    np.testing.assert_allclose(out.feature, p.feature)
-
-
 def test_enhance_proposal_passthrough_uniform():
     a = np.full((8, 8, 3), 1 / 64)
-    cfg = LfaConfig(image_w=8, image_h=8)  # default pass-through MLP
+    cfg = LfaConfig(image_w=8, image_h=8)
     p = Proposal(BBox(2, 2, 2, 2), np.zeros(3), 0.3)
     out = enhance_proposal(p, a, cfg)
     np.testing.assert_allclose(out.feature, np.full(3, 1 / 64))
+
+
+def test_enhance_proposal_rectifies_and_keeps_feature_length():
+    a = np.empty((8, 8, 2))
+    a[:, :, 0], a[:, :, 1] = 0.25, -0.5
+    cfg = LfaConfig(image_w=8, image_h=8)
+    for feature, expect in (([1.0], [1.25]),
+                            ([1.0, 2.0], [1.25, 2.0]),
+                            ([1.0, 2.0, -0.0], [1.25, 2.0, 0.0])):
+        p = Proposal(BBox(2, 2, 2, 2), np.array(feature), 0.3)
+        out = enhance_proposal(p, a, cfg).feature
+        assert out.tolist() == expect and not np.signbit(out).any()
 
 
 def test_enhance_proposal_deterministic():
