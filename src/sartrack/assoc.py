@@ -6,8 +6,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, compress, groupby
-from operator import itemgetter
+from itertools import chain, compress, islice
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -21,7 +20,7 @@ from .motion import (Affine2x3, apply_cmc, boxes_to_measurements, kf_init,
 FORBIDDEN_COST = 1e6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackerConfig:
     tau_high: float = 0.6
     tau_low: float = 0.1
@@ -61,7 +60,7 @@ _TENT, _CONF, _LOST = range(3)
 TrackRow = namedtuple("TrackRow", "id lifecycle hits age_since_update v_ema")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssociationResult:
     matches: tuple[tuple[int, int], ...]
     unmatched_tracks: tuple[int, ...]
@@ -288,9 +287,18 @@ class Tracker:
         boxes = list(chain.from_iterable(b for _, _, b in self._log))
         order = np.argsort(ids, kind="stable")
         order = order[np.isin(ids[order], self._retired + self.ids[self.state != _TENT].tolist())]
-        rows = zip(ids[order].tolist(), frames[order].tolist(), map(boxes.__getitem__, order))
-        return TrajectorySet.build((tid, [(f, b) for _, f, b in run])
-                                   for tid, run in groupby(rows, key=itemgetter(0)))
+        ids, frames = ids[order], frames[order]
+        # The checks of TrajectorySet.build, on the arrays: ids come out of
+        # np.unique, and frames must rise within each id.
+        bad = np.flatnonzero((np.diff(ids) == 0) & (np.diff(frames) <= 0))
+        if bad.size:
+            raise ValueError(f"track {ids[bad[0]]} frames not strictly increasing")
+        tids, counts = np.unique(ids, return_counts=True)
+        # Each track's tuple drains its count of pairs from one shared
+        # iterator, so every (frame, box) pair is made once.
+        pairs = zip(frames.tolist(), map(boxes.__getitem__, order))
+        return TrajectorySet(tuple((tid, tuple(islice(pairs, n)))
+                                   for tid, n in zip(tids.tolist(), counts.tolist())))
 
 
 def track_sequence(frame_detections: dict[int, list[Detection]],

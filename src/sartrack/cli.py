@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from . import assoc, lfa, lineops, metrics, synthsim
+from . import lfa, lineops, synthsim
 from . import io as sio
 
 EXIT_OK = 0
@@ -36,6 +36,8 @@ def _require_file(path):
 
 
 def cmd_track(args) -> int:
+    from . import assoc  # loads scipy.optimize, which no other subcommand needs
+
     records = sio.parse_mot_file(_require_file(args.det))
     embeddings = sio.parse_embeddings(_require_file(args.emb)) if args.emb else None
     cmc = sio.parse_cmc_file(_require_file(args.cmc)) if args.cmc else None
@@ -53,6 +55,8 @@ _EVAL_COLUMNS = ("MOTA", "IDSW", "MT", "ML", "IDF1", "IDR", "IDP", "HOTA", "DetA
 
 
 def cmd_eval(args) -> int:
+    from . import metrics  # loads scipy.optimize, which no other subcommand needs
+
     gt = sio.records_to_trajectories(sio.parse_mot_file(_require_file(args.gt)))
     pred = sio.records_to_trajectories(sio.parse_mot_file(_require_file(args.res)))
     if gt.num_boxes() == 0:
@@ -140,12 +144,14 @@ def cmd_lfa_demo(args) -> int:
     cfg = lfa.LfaConfig(image_w=w if args.width is None else args.width,
                         image_h=h if args.height is None else args.height,
                         lambda_max=args.lambda_max)
+    enhanced = []
+    for line_no, p in props:
+        try:
+            enhanced.append(lfa.enhance_proposal(p, a_soft, cfg))
+        except ValueError as e:
+            raise sio.ParseError(args.proposals, line_no, e) from None
     with open(args.out, "w") as fh:
-        for line_no, p in props:
-            try:
-                en = lfa.enhance_proposal(p, a_soft, cfg)
-            except ValueError as e:
-                raise sio.ParseError(args.proposals, line_no, e) from None
+        for en in enhanced:
             b = en.bbox
             feat = " ".join(repr(float(v)) for v in en.feature)
             fh.write(f"{b.x} {b.y} {b.w} {b.h} {en.v_hat} {feat}\n")
@@ -163,10 +169,11 @@ def cmd_render(args) -> int:
         if not stem.isdecimal():
             raise DataError(f"{os.path.join(args.frames_dir, stem + '.pgm')}: frame files "
                             f"must be named by frame number, like 000001.pgm")
+    frames = [sio.read_pgm(os.path.join(args.frames_dir, stem + ".pgm")) for stem in stems]
     os.makedirs(args.out_dir, exist_ok=True)
-    for stem in stems:
-        sio.render_frame(sio.read_pgm(os.path.join(args.frames_dir, stem + ".pgm")),
-                         by_frame.get(int(stem), []), os.path.join(args.out_dir, stem + ".ppm"))
+    for stem, frame in zip(stems, frames):
+        sio.render_frame(frame, by_frame.get(int(stem), []),
+                         os.path.join(args.out_dir, stem + ".ppm"))
     print(f"rendered {len(stems)} frames to {args.out_dir}")
     return EXIT_OK
 

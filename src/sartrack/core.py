@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BBox:
     """Axis-aligned box as (top-left x, top-left y, width, height)."""
 
@@ -55,7 +55,7 @@ def iou(boxes_a, boxes_b) -> np.ndarray:
     return inter / ((a[:, 2] * a[:, 3])[:, None] + (b[:, 2] * b[:, 3])[None, :] - inter)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One observed target in one frame.
 
@@ -88,7 +88,7 @@ class Detection:
             object.__setattr__(self, "embedding", emb)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectorySet:
     """Finalized per-sequence tracking output.
 

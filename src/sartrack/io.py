@@ -43,7 +43,7 @@ def _fmt(v: float) -> str:
     return repr(f)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MotRecord:
     frame: int
     track_id: int

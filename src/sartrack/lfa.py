@@ -35,7 +35,7 @@ def normalize_velocities(v) -> np.ndarray:
     return v / m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LfaConfig:
     image_w: float
     image_h: float
@@ -48,7 +48,7 @@ class LfaConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposal:
     bbox: BBox
     feature: np.ndarray

@@ -13,7 +13,7 @@ HOTA_ALPHAS = [round(0.05 * k, 2) for k in range(1, 20)]
 _BIG = 1e9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricsReport:
     mota: float
     fp: int

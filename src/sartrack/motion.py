@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Affine2x3:
     """2x3 matrix [R|t] mapping a point p to R @ p + t."""
 

@@ -28,7 +28,7 @@ SHADOW_VALUE = -1.0
 STREAK_VALUE = 5.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     seed: int = 0
     frames: int = 50
@@ -63,7 +63,7 @@ class ScenarioConfig:
             raise ValueError(f"p_toggle must be in [0,1], got {self.p_toggle}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerturbConfig:
     seed: int = 0
     jitter_sigma: float = 0.0
@@ -84,7 +84,7 @@ class PerturbConfig:
                              f"{self.clutter_size_min} and {self.clutter_size_max}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scene:
     frames: list[np.ndarray]
     gt: TrajectorySet

@@ -224,6 +224,14 @@ def test_unconfirmed_tracks_leave_the_track_list():
     assert len(tracker.trajectories()) == 0
 
 
+def test_trajectories_reject_a_repeated_frame():
+    tracker = Tracker(TrackerConfig(n_init=1))
+    tracker.step(1, [det(1, 10, 10)])
+    tracker.step(1, [det(1, 10, 10)])
+    with pytest.raises(ValueError, match="track 1 frames not strictly increasing"):
+        tracker.trajectories()
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 40),
        n_init=st.integers(1, 3), max_age=st.integers(0, 4), use_maa=st.booleans())

@@ -1,9 +1,13 @@
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import sartrack
 from sartrack.cli import main
 from sartrack.io import TENSOR_MAGIC, read_tensor, write_pgm, write_tensor
 
@@ -294,6 +298,19 @@ def test_lfa_demo(capsys, tmp_path):
     assert f"{props}:3: center" in err and "outside" in err
 
 
+def test_lfa_demo_bad_later_proposal_leaves_no_output(capsys, tmp_path):
+    src = tmp_path / "a.vsfm"
+    write_tensor(np.full((20, 20, 1), 1.0 / 400), src)
+    props = tmp_path / "props.txt"
+    props.write_text("2 2 4 4 0.0 1 2\n30 30 4 4 0.5 1 2\n")
+    out = tmp_path / "enh.txt"
+    code, _, err = run(capsys, "lfa-demo", "--asoft", str(src),
+                       "--proposals", str(props), "--out", str(out))
+    assert code == 2
+    assert f"{props}:2: center" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--lambda-max", "nan"), ("--lambda-max", "inf"),
     ("--width", "nan"), ("--width", "inf"), ("--width", "0"), ("--height", "-5"),
@@ -378,6 +395,54 @@ def test_render_missing_frames_dir_leaves_no_output(capsys, tmp_path):
     assert code == 2
     assert str(tmp_path / "nope") in err
     assert not out.exists()
+
+
+def test_render_bad_later_frame_leaves_no_output(capsys, tmp_path):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    write_pgm(np.zeros((16, 16), dtype=np.uint8), frames / "000001.pgm")
+    (frames / "000002.pgm").write_bytes(b"P5\n12")
+    tracks = tmp_path / "t.txt"
+    tracks.write_text(_OK)
+    out = tmp_path / "vis"
+    code, _, err = run(capsys, "render", "--frames-dir", str(frames),
+                       "--tracks", str(tracks), "--out-dir", str(out))
+    assert code == 2
+    assert str(frames / "000002.pgm") in err
+    assert not out.exists()
+
+
+def test_only_track_and_eval_load_scipy_optimize(tmp_path):
+    """lineops, synth, lfa-demo and render run without importing the
+    assignment solver, which costs SciPy's import time and memory."""
+    script = f"""
+import sys
+import numpy as np
+from sartrack.cli import main
+from sartrack.io import write_pgm, write_tensor
+d = {str(tmp_path)!r}
+img = np.zeros((16, 16), dtype=np.uint8)
+img[8, :] = 255
+write_pgm(img, d + "/in.pgm")
+write_tensor(np.full((20, 20, 1), 1.0 / 400), d + "/a.vsfm")
+open(d + "/props.txt", "w").write("2 2 4 4 0.0 1 2\\n")
+open(d + "/scn.txt", "w").write("frames = 2\\nn_moving = 2\\nwidth = 64\\nheight = 64\\n")
+for argv in (["lineops", "--in", d + "/in.pgm", "--out", d + "/lo"],
+             ["synth", "--config", d + "/scn.txt", "--out-dir", d + "/scene"],
+             ["lfa-demo", "--asoft", d + "/a.vsfm", "--proposals", d + "/props.txt",
+              "--out", d + "/enh.txt"],
+             ["render", "--frames-dir", d + "/scene", "--tracks", d + "/scene/gt.txt",
+              "--out-dir", d + "/vis"]):
+    assert main(argv) == 0, argv
+print("scipy.optimize" in sys.modules)
+"""
+    src_dir = os.path.dirname(os.path.dirname(sartrack.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src_dir, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "False"
 
 
 def _tensor_bytes(h, w, c, payload=b""):

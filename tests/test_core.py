@@ -1,6 +1,12 @@
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import sartrack
 from metrics_reference import iou as scalar_iou
 from sartrack.core import BBox, Detection, TrajectorySet, iou
 
@@ -78,3 +84,21 @@ def test_trajectory_set_invariants():
     assert ts.frames() == [1, 2, 3]
     assert [tid for tid, _ in ts.boxes_by_frame()[1]] == [1]
 
+
+def test_every_dataclass_is_frozen_and_slotted():
+    """Value types are built per target per frame, so none may carry an
+    instance dict."""
+    classes = [cls for info in pkgutil.iter_modules(sartrack.__path__)
+               for _, cls in inspect.getmembers(importlib.import_module(f"sartrack.{info.name}"),
+                                                inspect.isclass)
+               if dataclasses.is_dataclass(cls) and cls.__module__ == f"sartrack.{info.name}"]
+    assert {"BBox", "Detection", "MotRecord"} <= {cls.__name__ for cls in classes}
+    for cls in classes:
+        assert cls.__dataclass_params__.frozen, cls
+        assert "__slots__" in vars(cls), cls
+        assert not hasattr(object.__new__(cls), "__dict__"), cls
+    b = BBox(1, 2, 3, 4)
+    with pytest.raises(AttributeError):
+        object.__setattr__(b, "label", "car")
+    assert dataclasses.replace(b, w=5) == BBox(1, 2, 5, 4)
+    assert hash(b) == hash(BBox(1, 2, 3, 4))
