@@ -60,26 +60,15 @@ _TENT, _CONF, _LOST = range(3)
 TrackRow = namedtuple("TrackRow", "id lifecycle hits age_since_update v_ema")
 
 
-@dataclass(frozen=True, slots=True)
-class AssociationResult:
-    matches: tuple[tuple[int, int], ...]
-    unmatched_tracks: tuple[int, ...]
-    unmatched_detections: tuple[int, ...]
-
-
-def hungarian(cost, max_cost: float) -> AssociationResult:
-    """Minimum-total-cost one-to-one assignment; pairs costing more than
-    max_cost are demoted to unmatched."""
+def hungarian(cost, max_cost: float) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-total-cost one-to-one assignment as (rows, cols) index arrays
+    in row order; pairs costing more than max_cost are left out."""
     cost = np.atleast_2d(np.asarray(cost, dtype=float))
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains non-finite values")
     rows, cols = linear_sum_assignment(cost)
     ok = cost[rows, cols] <= max_cost
-    rows, cols = rows[ok].tolist(), cols[ok].tolist()
-    n, m = cost.shape
-    return AssociationResult(tuple(zip(rows, cols)),
-                             tuple(sorted(set(range(n)).difference(rows))),
-                             tuple(sorted(set(range(m)).difference(cols))))
+    return rows[ok], cols[ok]
 
 
 def iou_cost(track_boxes, det_boxes) -> np.ndarray:
@@ -127,9 +116,8 @@ class Tracker:
                 "emb": (float, (0,)), "has_emb": (bool, ()), "mean": (float, (8,)),
                 "cov": (float, (8, 8))}
 
-    def __init__(self, cfg: TrackerConfig | None = None, use_maa: bool = True):
+    def __init__(self, cfg: TrackerConfig | None = None):
         self.cfg = cfg or TrackerConfig()
-        self.use_maa = use_maa
         for name, (dtype, shape) in self._COLUMNS.items():
             setattr(self, name, np.zeros((0, *shape), dtype=dtype))
         # (frame, ids, boxes) log entries, and the ids removed while LOST.
@@ -190,9 +178,11 @@ class Tracker:
 
     def step(self, frame: int, detections: list[Detection],
              cmc: Affine2x3 | None = None) -> list[tuple[int, BBox]]:
-        """Advance one frame; returns (id, box) for confirmed tracks matched
-        this frame."""
+        """Advance one frame, later than the last; returns (id, box) for
+        confirmed tracks matched this frame."""
         cfg = self.cfg
+        if self._log and frame <= self._log[-1][0]:
+            raise ValueError(f"frame {frame} does not follow frame {self._log[-1][0]}")
         if any(d.frame != frame for d in detections):
             raise ValueError("detections from mixed frames")
 
@@ -212,26 +202,22 @@ class Tracker:
         def assign(rows, dj, cost, max_cost, gates=None):
             """Match pool rows to detections dj; returns those left unmatched."""
             cost = np.where(self.cls[rows][:, None] != d_cls[dj][None, :], FORBIDDEN_COST, cost)
-            res = hungarian(cost, max_cost)
-            ti, tj = np.array(res.matches, dtype=np.intp).reshape(-1, 2).T
+            ti, tj = hungarian(cost, max_cost)
             pairs.append((rows[ti], dj[tj],
                           np.ones(len(ti), dtype=bool) if gates is None else gates[ti, tj]))
             matched[rows[ti]] = True
-            return dj[np.array(res.unmatched_detections, dtype=np.intp)]
+            return np.delete(dj, tj)
 
         # Stage 1: confirmed + lost tracks vs high-score detections.
         state = self.state
         pool1 = np.flatnonzero(state != _TENT)
         rest_high = high
         if pool1.size and high.size:
-            fused, gates = iou_cost(pred_boxes[pool1], boxes[high]), None
-            if self.use_maa:
-                acost = appearance_cost(self.emb[pool1], self.has_emb[pool1],
-                                        d_emb[high], d_has[high])
-                v_t, v_d = self.v_ema[pool1], d_v[high]
-                fused = maa_fuse(fused, acost, v_t, v_d, cfg)
-                gates = np.maximum.outer(v_t, v_d) >= cfg.tau_v
-            rest_high = assign(pool1, high, fused, cfg.match_thresh_stage1, gates)
+            acost = appearance_cost(self.emb[pool1], self.has_emb[pool1], d_emb[high], d_has[high])
+            v_t, v_d = self.v_ema[pool1], d_v[high]
+            fused = maa_fuse(iou_cost(pred_boxes[pool1], boxes[high]), acost, v_t, v_d, cfg)
+            rest_high = assign(pool1, high, fused, cfg.match_thresh_stage1,
+                               np.maximum.outer(v_t, v_d) >= cfg.tau_v)
 
         # Stage 2: still-confirmed leftovers vs low-score detections, IoU only.
         pool2 = pool1[~matched[pool1] & (state[pool1] == _CONF)]
@@ -287,26 +273,21 @@ class Tracker:
         boxes = list(chain.from_iterable(b for _, _, b in self._log))
         order = np.argsort(ids, kind="stable")
         order = order[np.isin(ids[order], self._retired + self.ids[self.state != _TENT].tolist())]
-        ids, frames = ids[order], frames[order]
-        # The checks of TrajectorySet.build, on the arrays: ids come out of
-        # np.unique, and frames must rise within each id.
-        bad = np.flatnonzero((np.diff(ids) == 0) & (np.diff(frames) <= 0))
-        if bad.size:
-            raise ValueError(f"track {ids[bad[0]]} frames not strictly increasing")
-        tids, counts = np.unique(ids, return_counts=True)
+        # `step` takes frames in rising order, so each id's frames rise and
+        # the TrajectorySet needs no check of its own.
+        tids, counts = np.unique(ids[order], return_counts=True)
         # Each track's tuple drains its count of pairs from one shared
         # iterator, so every (frame, box) pair is made once.
-        pairs = zip(frames.tolist(), map(boxes.__getitem__, order))
+        pairs = zip(frames[order].tolist(), map(boxes.__getitem__, order))
         return TrajectorySet(tuple((tid, tuple(islice(pairs, n)))
                                    for tid, n in zip(tids.tolist(), counts.tolist())))
 
 
 def track_sequence(frame_detections: dict[int, list[Detection]],
                    cmc_by_frame: dict[int, Affine2x3] | None = None,
-                   cfg: TrackerConfig | None = None,
-                   use_maa: bool = True) -> TrajectorySet:
+                   cfg: TrackerConfig | None = None) -> TrajectorySet:
     """Run the tracker over a whole sequence and collect trajectories."""
-    tracker = Tracker(cfg, use_maa=use_maa)
+    tracker = Tracker(cfg)
     for frame in sorted(frame_detections):
         tracker.step(frame, frame_detections[frame], (cmc_by_frame or {}).get(frame))
     return tracker.trajectories()

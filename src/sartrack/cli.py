@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -44,8 +45,10 @@ def cmd_track(args) -> int:
     cfg = assoc.TrackerConfig()
     if args.config:
         (cfg,) = sio.load_config(_require_file(args.config), assoc.TrackerConfig)
+    if args.maa == "off":  # a gate at 0 fires on every pair: appearance never counts
+        cfg = dataclasses.replace(cfg, tau_v=0.0)
     dets = sio.records_to_detections(records, embeddings)
-    tset = assoc.track_sequence(dets, cmc, cfg, use_maa=(args.maa == "on"))
+    tset = assoc.track_sequence(dets, cmc, cfg)
     sio.write_mot_file(tset, args.out)
     print(f"wrote {tset.num_boxes()} boxes over {len(tset)} tracks to {args.out}")
     return EXIT_OK
@@ -190,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--cmc", help="camera-motion sidecar file")
     t.add_argument("--config", help="tracker config (key = value lines)")
     t.add_argument("--maa", choices=["on", "off"], default="on",
-                   help="motion-aware appearance gating (default on)")
+                   help="motion-aware appearance gating (default on); off means tau_v = 0")
     t.set_defaults(func=cmd_track)
 
     e = sub.add_parser("eval", help="score a result file against ground truth")

@@ -176,7 +176,7 @@ def write_mot_file(tset: TrajectorySet, path) -> None:
 
 
 def parse_embeddings(path) -> dict[tuple[int, int], np.ndarray]:
-    """Lines of `frame det_index v1 ... vd`; vectors are L2-normalized."""
+    """Lines of `frame det_index v1 ... vd`, one per key; vectors are L2-normalized."""
     out: dict[tuple[int, int], np.ndarray] = {}
     dim = None
     for line_no, line in read_lines(path):
@@ -192,6 +192,8 @@ def parse_embeddings(path) -> dict[tuple[int, int], np.ndarray]:
         n = np.linalg.norm(vec)
         if not _NORM_MIN <= n < math.inf:
             raise ParseError(path, line_no, f"embedding of norm {n} cannot be normalized")
+        if (vals[0], vals[1]) in out:
+            raise ParseError(path, line_no, f"repeated frame {vals[0]} index {vals[1]}")
         out[(vals[0], vals[1])] = vec / n
     return out
 
@@ -204,13 +206,15 @@ def write_embeddings(emb: dict[tuple[int, int], np.ndarray], path) -> None:
 
 
 def parse_cmc_file(path) -> dict[int, Affine2x3]:
-    """Lines of `frame r11 r12 tx r21 r22 ty`; missing frames mean identity."""
+    """Lines of `frame r11 r12 tx r21 r22 ty`, one per frame; missing frames mean identity."""
     out: dict[int, Affine2x3] = {}
     for line_no, line in read_lines(path):
         fields = line.split()
         if len(fields) != 7:
             raise ParseError(path, line_no, f"expected 7 fields, got {len(fields)}")
         vals = parse_numbers(path, line_no, fields, (0,))
+        if vals[0] in out:
+            raise ParseError(path, line_no, f"repeated frame {vals[0]}")
         out[vals[0]] = Affine2x3(np.array(vals[1:]).reshape(2, 3))
     return out
 

@@ -1,13 +1,13 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sartrack.assoc import (AssociationResult, Lifecycle, Tracker, TrackerConfig,
-                            appearance_cost, hungarian, iou_cost, maa_fuse,
-                            track_sequence)
+from sartrack.assoc import (Lifecycle, Tracker, TrackerConfig, appearance_cost,
+                            hungarian, iou_cost, maa_fuse, track_sequence)
 from sartrack.core import BBox, Detection
 from sartrack.io import load_config
 from sartrack.metrics import clear_mot
@@ -32,27 +32,32 @@ def det(frame, x, y, w=4, h=4, score=0.9, class_id=0, ma=None, emb=None):
 
 
 def test_hungarian_hand_case():
-    res = hungarian(np.array([[1.0, 2.0], [2.0, 4.0]]), np.inf)
-    assert set(res.matches) == {(0, 1), (1, 0)}
+    rows, cols = hungarian(np.array([[1.0, 2.0], [2.0, 4.0]]), np.inf)
+    assert rows.tolist() == [0, 1] and cols.tolist() == [1, 0]
 
 
 def test_hungarian_diagonal():
-    res = hungarian(np.array([[0.0, 9.0], [9.0, 0.0]]), np.inf)
-    assert set(res.matches) == {(0, 0), (1, 1)}
+    rows, cols = hungarian(np.array([[0.0, 9.0], [9.0, 0.0]]), np.inf)
+    assert rows.tolist() == [0, 1] and cols.tolist() == [0, 1]
 
 
 def test_hungarian_threshold_demotion():
-    res = hungarian(np.array([[0.9]]), 0.5)
-    assert res.matches == ()
-    assert res.unmatched_tracks == (0,)
-    assert res.unmatched_detections == (0,)
+    # The cheaper assignment pairs (0, 1) and (1, 0); (1, 0) costs more
+    # than max_cost, so only (0, 1) is kept.
+    rows, cols = hungarian(np.array([[0.1, 0.2], [0.9, 5.0]]), 0.5)
+    assert rows.tolist() == [0] and cols.tolist() == [1]
+    rows, cols = hungarian(np.array([[0.9]]), 0.5)
+    assert rows.size == cols.size == 0
+    # A pair costing exactly max_cost is kept.
+    rows, cols = hungarian(np.array([[0.5]]), 0.5)
+    assert rows.tolist() == cols.tolist() == [0]
 
 
 def test_hungarian_empty():
-    res = hungarian(np.zeros((0, 3)), 1.0)
-    assert res.matches == () and res.unmatched_detections == (0, 1, 2)
-    res = hungarian(np.zeros((2, 0)), 1.0)
-    assert res.matches == () and res.unmatched_tracks == (0, 1)
+    for shape in ((0, 3), (2, 0)):
+        rows, cols = hungarian(np.zeros(shape), 1.0)
+        assert rows.size == cols.size == 0
+        assert rows.dtype == cols.dtype == np.intp
 
 
 def test_hungarian_matches_brute_force():
@@ -61,12 +66,11 @@ def test_hungarian_matches_brute_force():
         n = int(rng.integers(1, 6))
         m = int(rng.integers(1, 6))
         cost = rng.random((n, m))
-        res = hungarian(cost, np.inf)
-        total = sum(cost[r, c] for r, c in res.matches)
-        assert total == pytest.approx(brute_force_assignment(cost), abs=1e-12)
-        rows = [r for r, _ in res.matches]
-        cols = [c for _, c in res.matches]
-        assert len(rows) == len(set(rows)) and len(cols) == len(set(cols))
+        rows, cols = hungarian(cost, np.inf)
+        assert cost[rows, cols].sum() == pytest.approx(brute_force_assignment(cost), abs=1e-12)
+        assert len(rows) == len(cols) == min(n, m)
+        assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+        assert np.all(np.diff(rows) > 0)  # in row order
 
 
 def test_iou_cost_values():
@@ -224,20 +228,26 @@ def test_unconfirmed_tracks_leave_the_track_list():
     assert len(tracker.trajectories()) == 0
 
 
-def test_trajectories_reject_a_repeated_frame():
+def test_step_rejects_a_frame_that_does_not_follow():
+    """A repeated or earlier frame is refused before it changes any state."""
     tracker = Tracker(TrackerConfig(n_init=1))
     tracker.step(1, [det(1, 10, 10)])
-    tracker.step(1, [det(1, 10, 10)])
-    with pytest.raises(ValueError, match="track 1 frames not strictly increasing"):
-        tracker.trajectories()
+    tracker.step(3, [])
+    for frame in (3, 2):
+        with pytest.raises(ValueError, match=f"frame {frame} does not follow frame 3"):
+            tracker.step(frame, [det(frame, 10, 10)])
+    assert [(t.id, t.hits, t.age_since_update) for t in tracker.tracks] == [(1, 1, 1)]
+    assert tracker.step(4, [det(4, 10, 10)]) == [(1, BBox(10, 10, 4, 4))]
+    assert [[f for f, _ in seq] for _, seq in tracker.trajectories().tracks] == [[1, 4]]
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 40),
-       n_init=st.integers(1, 3), max_age=st.integers(0, 4), use_maa=st.booleans())
-def test_tracker_invariants_on_random_streams(seed, n_frames, n_init, max_age, use_maa):
+       n_init=st.integers(1, 3), max_age=st.integers(0, 4), maa=st.booleans())
+def test_tracker_invariants_on_random_streams(seed, n_frames, n_init, max_age, maa):
     rng = np.random.default_rng(seed)
-    tracker = Tracker(TrackerConfig(n_init=n_init, max_age=max_age), use_maa=use_maa)
+    cfg = TrackerConfig(n_init=n_init, max_age=max_age)
+    tracker = Tracker(cfg if maa else replace(cfg, tau_v=0.0))
     seen: set[int] = set()
     removed: set[int] = set()
     for f in range(1, n_frames + 1):

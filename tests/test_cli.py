@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import make_goldens as mg
 import numpy as np
 import pytest
 
@@ -124,6 +125,18 @@ def test_track_maa_flag_accepted_both_ways(capsys, tmp_path):
         assert code == 0
     # clean detections with no embeddings: the gate has nothing to discard
     assert (tmp_path / "res_on.txt").read_bytes() == (tmp_path / "res_off.txt").read_bytes()
+
+
+def test_track_maa_off_is_tau_v_zero(capsys, tmp_path):
+    """On a scene where the motion gate changes the result, `--maa off` and
+    a config with `tau_v = 0` write the same bytes."""
+    scene = mg.synth(mg.SCENES["ablation"], tmp_path)
+    cfg = tmp_path / "tracker.txt"
+    cfg.write_text("tau_v = 0\n")
+    on = mg.track(scene, tmp_path / "on.txt")
+    off = mg.track(scene, tmp_path / "off.txt", "--maa", "off")
+    assert off != on
+    assert mg.track(scene, tmp_path / "tau_v0.txt", "--config", cfg) == off
 
 
 def test_eval_id_switch_fixture(capsys, tmp_path):
@@ -369,6 +382,22 @@ def test_repeated_track_frame_names_file_and_line(capsys, tmp_path, role):
     assert code == 2
     assert f"{dup}:3: track 1 already has a box in frame 1" in err
     assert not (tmp_path / "vis").exists()
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--cmc", "1 1 0 0 0 1 0\n1 1 0 5 0 1 0\n", "repeated frame 1"),
+    ("--emb", "1 0 1 0\n1 0 0 1\n", "repeated frame 1 index 0"),
+])
+def test_track_repeated_sidecar_key_names_file_and_line(capsys, tmp_path, flag, text, message):
+    write_perfect_sequence(tmp_path)
+    sidecar = tmp_path / "sidecar.txt"
+    sidecar.write_text(text)
+    out = tmp_path / "res.txt"
+    code, _, err = run(capsys, "track", "--det", str(tmp_path / "det.txt"),
+                       flag, str(sidecar), "--out", str(out))
+    assert code == 2
+    assert f"{sidecar}:2: {message}" in err
+    assert not out.exists()
 
 
 def test_render_non_numeric_frame_name_is_data_error(capsys, tmp_path):

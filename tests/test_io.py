@@ -146,6 +146,13 @@ def test_parse_embeddings_errors(tmp_path):
             parse_embeddings(p)
 
 
+def test_parse_embeddings_rejects_a_repeated_key(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_text("1 0 3 4\n1 1 1 0\n\n1 0 0 1\n")
+    with pytest.raises(ParseError, match=re.escape(f"{p}:4: repeated frame 1 index 0")):
+        parse_embeddings(p)
+
+
 def test_parse_cmc(tmp_path):
     p = tmp_path / "cmc.txt"
     p.write_text("1 1 0 5 0 1 -2\n")
@@ -156,6 +163,13 @@ def test_parse_cmc(tmp_path):
         p.write_text(text)
         with pytest.raises(ParseError, match=re.escape(f"{p}:1:")):
             parse_cmc_file(p)
+
+
+def test_parse_cmc_rejects_a_repeated_frame(tmp_path):
+    p = tmp_path / "cmc.txt"
+    p.write_text("1 1 0 0 0 1 0\n2 1 0 0 0 1 0\n1.0 1 0 5 0 1 0\n")
+    with pytest.raises(ParseError, match=re.escape(f"{p}:3: repeated frame 1")):
+        parse_cmc_file(p)
 
 
 def test_parse_proposals(tmp_path):

@@ -1,10 +1,14 @@
 """The shared line reader and typed config loader against the frozen
-per-format parsers in io_reference.py: valid files parse to equal results."""
+per-format parsers in io_reference.py: valid files parse to equal results.
+The sidecars differ on purpose in one way: a repeated key is an error at its
+line, where the reference kept the last line."""
 import os
+import re
 import tempfile
 
 import io_reference as ref
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,9 +145,29 @@ def test_mot_files_parse_as_before(text):
     assert all(type(v) is int for r in new for v in (r.frame, r.track_id, r.class_id))
 
 
+def _rejects_first_repeat(text, n_keys, parse) -> bool:
+    """Whether two lines share their leading `n_keys` integer fields (the
+    key); if so, `parse` must fail at the first line that repeats a key."""
+    seen = set()
+    for line_no, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+        key = tuple(map(int, line.split()[:n_keys]))
+        if key and key in seen:
+            path = _write(text)
+            try:
+                with pytest.raises(sio.ParseError, match=f"^{re.escape(path)}:{line_no}: repeated"):
+                    parse(path)
+            finally:
+                os.unlink(path)
+            return True
+        seen.add(key)
+    return False
+
+
 @settings(max_examples=60, deadline=None)
 @given(_emb_file())
 def test_embedding_files_parse_as_before(text):
+    if _rejects_first_repeat(text, 2, sio.parse_embeddings):
+        return
     new, old = _both(text, sio.parse_embeddings, ref.parse_embeddings)
     assert list(new) == list(old)
     assert all(np.array_equal(new[k], old[k]) and new[k].dtype == old[k].dtype for k in old)
@@ -152,6 +176,8 @@ def test_embedding_files_parse_as_before(text):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(_cmc_line(), max_size=12).flatmap(_file))
 def test_cmc_files_parse_as_before(text):
+    if _rejects_first_repeat(text, 1, sio.parse_cmc_file):
+        return
     new, old = _both(text, sio.parse_cmc_file, ref.parse_cmc_file)
     assert list(new) == list(old)
     assert all(np.array_equal(new[k].m, old[k].m) for k in old)

@@ -129,8 +129,10 @@ def _scene(rng, n_targets, n_frames, n_classes, emb_dim, with_ma, with_cmc):
 def _assert_trackers_agree(dets, cmc, cfg, use_maa):
     """Step the array tracker and the frozen reference side by side; after
     every frame their emitted lists, live rows, appearance EMAs and Kalman
-    state must be equal bit for bit, and so must the final trajectories."""
-    new, old = Tracker(cfg, use_maa=use_maa), ref.Tracker(cfg, use_maa=use_maa)
+    state must be equal bit for bit, and so must the final trajectories.
+    The reference's `use_maa=False` is the array tracker at `tau_v = 0`."""
+    new = Tracker(cfg if use_maa else replace(cfg, tau_v=0.0))
+    old = ref.Tracker(cfg, use_maa=use_maa)
     for f in sorted(dets):
         assert new.step(f, dets[f], cmc[f]) == old.step(f, dets[f], cmc[f])
         # Live rows agree in order, bookkeeping and Kalman state.
