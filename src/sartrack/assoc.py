@@ -286,8 +286,16 @@ class Tracker:
 def track_sequence(frame_detections: dict[int, list[Detection]],
                    cmc_by_frame: dict[int, Affine2x3] | None = None,
                    cfg: TrackerConfig | None = None) -> TrajectorySet:
-    """Run the tracker over a whole sequence and collect trajectories."""
-    tracker = Tracker(cfg)
-    for frame in sorted(frame_detections):
-        tracker.step(frame, frame_detections[frame], (cmc_by_frame or {}).get(frame))
+    """Run the tracker over a whole sequence and collect trajectories. A frame
+    without detections between two with some still predicts, applies its CMC
+    and ages the live tracks; once none is live, the rest of the gap cannot
+    change anything and is skipped."""
+    tracker, cmc = Tracker(cfg), cmc_by_frame or {}
+    frames = sorted(frame_detections)
+    for last, frame in zip(frames[:1] + frames, frames):
+        for empty in range(last + 1, frame):
+            if not len(tracker.ids):
+                break
+            tracker.step(empty, [], cmc.get(empty))
+        tracker.step(frame, frame_detections[frame], cmc.get(frame))
     return tracker.trajectories()

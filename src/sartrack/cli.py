@@ -48,6 +48,9 @@ def cmd_track(args) -> int:
     if args.maa == "off":  # a gate at 0 fires on every pair: appearance never counts
         cfg = dataclasses.replace(cfg, tau_v=0.0)
     dets = sio.records_to_detections(records, embeddings)
+    for f, i in embeddings or ():
+        if i >= len(dets.get(f, ())):
+            raise DataError(f"{args.emb}: frame {f} index {i} names no detection in {args.det}")
     tset = assoc.track_sequence(dets, cmc, cfg)
     sio.write_mot_file(tset, args.out)
     print(f"wrote {tset.num_boxes()} boxes over {len(tset)} tracks to {args.out}")
@@ -99,8 +102,8 @@ def cmd_synth(args) -> int:
     for f, boxes in scene.gt.boxes_by_frame().items():
         for tid, b in boxes:
             gt_records.append(sio.MotRecord(
-                f, tid, b.x, b.y, b.w, b.h, 1, scene.classes.get(tid, 0), 1,
-                scene.velocities.get((tid, f), 0.0)).render())
+                f, tid, b.x, b.y, b.w, b.h, 1, scene.classes[tid], 1,
+                scene.velocities[(tid, f)]).render())
     with open(os.path.join(args.out_dir, "gt.txt"), "w") as fh:
         fh.write("\n".join(gt_records) + ("\n" if gt_records else ""))
     det_lines = []

@@ -176,7 +176,8 @@ def write_mot_file(tset: TrajectorySet, path) -> None:
 
 
 def parse_embeddings(path) -> dict[tuple[int, int], np.ndarray]:
-    """Lines of `frame det_index v1 ... vd`, one per key; vectors are L2-normalized."""
+    """Lines of `frame det_index v1 ... vd`, one per key; vectors are L2-normalized.
+    `det_index` is the 0-based position among that frame's detections."""
     out: dict[tuple[int, int], np.ndarray] = {}
     dim = None
     for line_no, line in read_lines(path):
@@ -184,6 +185,9 @@ def parse_embeddings(path) -> dict[tuple[int, int], np.ndarray]:
         if len(fields) < 3:
             raise ParseError(path, line_no, "expected `frame index v1 ... vd`")
         vals = parse_numbers(path, line_no, fields, (0, 1))
+        if vals[0] < 1 or vals[1] < 0:
+            raise ParseError(path, line_no,
+                             f"need frame >= 1 and index >= 0, got {vals[0]} {vals[1]}")
         vec = np.array(vals[2:])
         if dim is None:
             dim = vec.size
@@ -213,6 +217,8 @@ def parse_cmc_file(path) -> dict[int, Affine2x3]:
         if len(fields) != 7:
             raise ParseError(path, line_no, f"expected 7 fields, got {len(fields)}")
         vals = parse_numbers(path, line_no, fields, (0,))
+        if vals[0] < 1:
+            raise ParseError(path, line_no, f"frame must be >= 1, got {vals[0]}")
         if vals[0] in out:
             raise ParseError(path, line_no, f"repeated frame {vals[0]}")
         out[vals[0]] = Affine2x3(np.array(vals[1:]).reshape(2, 3))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -122,93 +123,72 @@ def _draw_segment(img: np.ndarray, x0: float, y0: float, x1: float, y1: float, v
 
 
 def generate_scene(cfg: ScenarioConfig) -> Scene:
-    """Deterministic scene: frames, ground truth, embeddings, velocities."""
+    """Deterministic scene: frames, ground truth, embeddings, velocities.
+
+    Three passes over the same draws: simulate fills (n_moving, frames)
+    arrays of centre x, centre y and current speed one target at a time,
+    render draws each frame from them, and label builds the rest."""
     ss = np.random.SeedSequence(cfg.seed)
     ss_targets, ss_motion, ss_noise, ss_occ = ss.spawn(4)
     rng_t = np.random.default_rng(ss_targets)
     rng_occ = np.random.default_rng(ss_occ)
-    motion_rngs = [np.random.default_rng(s) for s in ss_motion.spawn(max(cfg.n_moving, 1))]
+    motion_rngs = [np.random.default_rng(s) for s in ss_motion.spawn(cfg.n_moving)]
     noise_rngs = [np.random.default_rng(s) for s in ss_noise.spawn(cfg.frames)]
 
-    n = cfg.n_moving
-    dim = max(2, n)
-    margin = cfg.size_max
-    targets = []
-    for i in range(n):
-        w = rng_t.uniform(cfg.size_min, cfg.size_max)
-        h = rng_t.uniform(cfg.size_min, cfg.size_max)
-        cx = rng_t.uniform(margin, cfg.width - margin)
-        cy = rng_t.uniform(margin, cfg.height - margin)
-        speed = rng_t.uniform(cfg.speed_min, cfg.speed_max)
-        ang = rng_t.uniform(0, 2 * math.pi)
-        base = np.zeros(dim)
-        base[i % dim] = 1.0
-        alias = np.zeros(dim)
-        alias[(i + 1) % dim] = 1.0
-        targets.append({
-            "id": i + 1, "w": w, "h": h, "cx": cx, "cy": cy,
-            "speed": speed, "dx": math.cos(ang), "dy": math.sin(ang),
-            "moving": True, "class": int(rng_t.integers(0, len(CLASS_NAMES))),
-            "base": base, "alias": alias,
-        })
+    n, frames = cfg.n_moving, cfg.frames
+    cx, cy, speed_now = np.zeros((3, n, frames))
+    sizes, classes = [], {}
+    # Per target: width, height, centre x, centre y, speed and heading.
+    lo = [cfg.size_min, cfg.size_min, cfg.size_max, cfg.size_max, cfg.speed_min, 0.0]
+    hi = [cfg.size_max, cfg.size_max, cfg.width - cfg.size_max, cfg.height - cfg.size_max,
+          cfg.speed_max, 2 * math.pi]
+    for i, rng in enumerate(motion_rngs):
+        w, h, x, y, speed, ang = rng_t.uniform(lo, hi).tolist()
+        sizes.append((w, h))
+        classes[i + 1] = int(rng_t.integers(0, len(CLASS_NAMES)))
+        dx, dy, moving = math.cos(ang), math.sin(ang), True
+        for f in range(frames):
+            if f:
+                if cfg.p_toggle > 0 and rng.random() < cfg.p_toggle:
+                    moving = not moving
+                if moving:
+                    x, dx = _reflect(x + speed * dx, dx, w / 2, cfg.width - w / 2)
+                    y, dy = _reflect(y + speed * dy, dy, h / 2, cfg.height - h / 2)
+            cx[i, f], cy[i, f], speed_now[i, f] = x, y, speed if moving else 0.0
 
-    occluders = []
+    occluded = np.zeros((cfg.height, cfg.width), dtype=bool)
     for _ in range(cfg.n_static_occluders):
-        x0 = rng_occ.uniform(0, cfg.width)
-        y0 = rng_occ.uniform(0, cfg.height)
-        length = rng_occ.uniform(cfg.size_max, 3 * cfg.size_max)
-        ang = rng_occ.uniform(0, math.pi)
-        occluders.append((x0, y0, x0 + length * math.cos(ang), y0 + length * math.sin(ang)))
-
+        x0, y0, length, ang = rng_occ.uniform(
+            [0, 0, cfg.size_max, 0], [cfg.width, cfg.height, 3 * cfg.size_max, math.pi]).tolist()
+        _draw_segment(occluded, x0, y0, x0 + length * math.cos(ang),
+                      y0 + length * math.sin(ang), True)
     frames_out: list[np.ndarray] = []
-    tracks: dict[int, list[tuple[int, BBox]]] = {t["id"]: [] for t in targets}
-    embeddings: dict[tuple[int, int], np.ndarray] = {}
-    raw_vel: dict[tuple[int, int], float] = {}
-    prev_center: dict[int, tuple[float, float]] = {}
-
-    for f in range(1, cfg.frames + 1):
-        img = noise_rngs[f - 1].uniform(0.0, cfg.noise_amplitude,
-                                        (cfg.height, cfg.width)) if cfg.noise_amplitude > 0 \
+    for f, (xs, ys, vs) in enumerate(zip(cx.T.tolist(), cy.T.tolist(), speed_now.T.tolist())):
+        img = noise_rngs[f].uniform(0.0, cfg.noise_amplitude,
+                                    (cfg.height, cfg.width)) if cfg.noise_amplitude > 0 \
             else np.zeros((cfg.height, cfg.width))
-        for seg in occluders:
-            _draw_segment(img, *seg, SHADOW_VALUE)
-        for i, t in enumerate(targets):
-            if f > 1:
-                if cfg.p_toggle > 0 and motion_rngs[i].random() < cfg.p_toggle:
-                    t["moving"] = not t["moving"]
-                if t["moving"]:
-                    t["cx"] += t["speed"] * t["dx"]
-                    t["cy"] += t["speed"] * t["dy"]
-                    t["cx"], t["dx"] = _reflect(t["cx"], t["dx"], t["w"] / 2,
-                                                cfg.width - t["w"] / 2)
-                    t["cy"], t["dy"] = _reflect(t["cy"], t["dy"], t["h"] / 2,
-                                                cfg.height - t["h"] / 2)
-            speed_now = t["speed"] if t["moving"] else 0.0
-            _draw_rect(img, t["cx"], t["cy"], t["w"], t["h"], SHADOW_VALUE)
-            if speed_now > 0 and cfg.streak_gain > 0:
-                off = cfg.streak_gain * speed_now
-                _draw_segment(img, t["cx"] + off - t["w"] / 2, t["cy"],
-                              t["cx"] + off + t["w"] / 2, t["cy"], STREAK_VALUE)
-            bbox = BBox(t["cx"] - t["w"] / 2, t["cy"] - t["h"] / 2, t["w"], t["h"])
-            tracks[t["id"]].append((f, bbox))
-            flipped = speed_now > cfg.appearance_flip_speed
-            embeddings[(t["id"], f)] = t["alias"] if flipped else t["base"]
-            if t["id"] in prev_center:
-                px, py = prev_center[t["id"]]
-                raw_vel[(t["id"], f)] = math.hypot(t["cx"] - px, t["cy"] - py)
-            else:
-                raw_vel[(t["id"], f)] = 0.0
-            prev_center[t["id"]] = (t["cx"], t["cy"])
+        img[occluded] = SHADOW_VALUE
+        for x, y, v, (w, h) in zip(xs, ys, vs, sizes):
+            _draw_rect(img, x, y, w, h, SHADOW_VALUE)
+            if v > 0 and cfg.streak_gain > 0:
+                off = cfg.streak_gain * v
+                _draw_segment(img, x + off - w / 2, y, x + off + w / 2, y, STREAK_VALUE)
         frames_out.append(img[:, :, None])
 
-    keys = sorted(raw_vel)
-    if keys:
-        normed = normalize_velocities([raw_vel[k] for k in keys])
-        velocities = {k: float(v) for k, v in zip(keys, normed)}
-    else:
-        velocities = {}
-    gt = TrajectorySet.build(sorted(tracks.items()))
-    classes = {t["id"]: t["class"] for t in targets}
+    gt = TrajectorySet.build(
+        (i + 1, [(f, BBox(x - w / 2, y - h / 2, w, h)) for f, (x, y) in enumerate(zip(xs, ys), 1)])
+        for i, ((w, h), xs, ys) in enumerate(zip(sizes, cx.tolist(), cy.tolist())))
+    keys = list(product(range(1, n + 1), range(1, frames + 1)))
+    # Distance moved since the previous frame, 0 on the first. math.hypot per
+    # element: np.hypot can differ from it in the last bit.
+    moved = np.zeros((n, frames))
+    moved[:, 1:] = np.vectorize(math.hypot, otypes=[float])(np.diff(cx), np.diff(cy))
+    velocities = dict(zip(keys, normalize_velocities(moved).ravel().tolist())) if n else {}
+    # A target moving faster than the flip speed shows the next target's look.
+    looks = list(np.eye(max(2, n)))
+    flipped = speed_now > cfg.appearance_flip_speed
+    look = (np.arange(n)[:, None] + flipped) % len(looks)
+    embeddings = dict(zip(keys, map(looks.__getitem__, look.ravel().tolist())))
     return Scene(frames_out, gt, embeddings, velocities, (cfg.width, cfg.height), classes)
 
 

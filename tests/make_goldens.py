@@ -4,9 +4,10 @@
 
 Each scene goes through the command line as a user would run it: `synth`
 from a config file, `track` on the synth outputs, and `eval --tsv` at IoU
-0.5 and 0.3. The line branch's case is `lineops` on frame 1 of a 64x64 synth
-scene. The files land in tests/golden/. Regenerate them only for a change
-that is meant to alter outputs, and say in CHANGES.md why they changed.
+0.5 and 0.3; some of the `synth` files are kept too. The line branch's case
+is `lineops` on frame 1 of a 64x64 synth scene. The files land in
+tests/golden/. Regenerate them only for a change that is meant to alter
+outputs, and say in CHANGES.md why they changed.
 """
 import contextlib
 import io
@@ -36,6 +37,11 @@ SCENES = {
 # `--maa` modes kept per scene. The other two scenes give the same files
 # both ways, so only the ablation scene can tell the modes apart.
 MAA_MODES = {"determinism": ("on",), "seed7": ("on",), "ablation": ("on", "off")}
+# `synth` outputs kept per scene, so motion, toggles, flipped looks and the
+# velocity column are held directly and not only through what `track` makes
+# of them. The seed-7 scene's would be large.
+SYNTH_FILES = {"determinism": ("gt.txt", "det.txt", "emb.txt"), "seed7": (),
+               "ablation": ("gt.txt", "det.txt", "emb.txt", "000050.pgm")}
 
 LINEOPS_SCENE = "seed = 1\nframes = 1\nn_moving = 2\nwidth = 64\nheight = 64\n"
 LINEOPS_FRAME = "lineops.frame.pgm"
@@ -70,7 +76,7 @@ def track(scene: Path, out: Path, *flags) -> bytes:
 def scene_outputs(name, workdir: Path) -> dict[str, bytes]:
     """The golden files of one scene, by file name."""
     scene = synth(SCENES[name], workdir)
-    out = {}
+    out = {f"{name}.{f}": (scene / f).read_bytes() for f in SYNTH_FILES[name]}
     for maa in MAA_MODES[name]:
         res = workdir / f"res-maa-{maa}.txt"
         out[f"{name}.res-maa-{maa}.txt"] = track(scene, res, "--maa", maa)

@@ -11,6 +11,7 @@ from sartrack.assoc import (Lifecycle, Tracker, TrackerConfig, appearance_cost,
 from sartrack.core import BBox, Detection
 from sartrack.io import load_config
 from sartrack.metrics import clear_mot
+from sartrack.motion import Affine2x3
 
 
 def brute_force_assignment(cost):
@@ -301,6 +302,42 @@ def test_lost_track_recovers_same_id():
     dets[8] = []
     ts = track_sequence(dets)
     assert len(ts) == 1
+
+
+def test_track_sequence_steps_frames_without_detections():
+    """A 10x10 target moving 6 px a frame, detected in frames 1-4 and 6-8,
+    keeps one id: frame 5 still predicts it forward."""
+    dets = {f: [det(f, 10 + 6 * f, 20, w=10, h=10)] for f in (1, 2, 3, 4, 6, 7, 8)}
+    tset = track_sequence(dets)
+    assert [(tid, [f for f, _ in seq]) for tid, seq in tset.tracks] == [
+        (1, [1, 2, 3, 4, 6, 7, 8])]
+    # Once no track is live the rest of a gap is skipped, so a huge gap is cheap.
+    far = {1: [det(1, 10, 10)], 10**12: [det(10**12, 10, 10)]}
+    assert len(track_sequence(far, cfg=TrackerConfig(n_init=1))) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 40),
+       n_init=st.integers(1, 3), max_age=st.integers(0, 4))
+def test_track_sequence_equals_stepping_every_frame(seed, n_frames, n_init, max_age):
+    """On streams with empty frames and gaps longer than max_age, with CMC on
+    some frames, track_sequence gives what a loop calling `step` on every
+    frame gives."""
+    rng = np.random.default_rng(seed)
+    cfg = TrackerConfig(n_init=n_init, max_age=max_age)
+    dets = {}
+    for f in range(1, n_frames + 1):
+        if rng.random() < 0.4:
+            continue  # no detections, and often a run of such frames
+        dets[f] = [det(f, float(rng.normal(30 + f, 4)), float(rng.normal(30, 4)),
+                       score=float(rng.choice([0.3, 0.7, 0.95])))
+                   for _ in range(rng.integers(1, 4))]
+    cmc = {f: Affine2x3(np.array([[1.0, 0.0, rng.normal(0, 2)], [0.0, 1.0, rng.normal(0, 2)]]))
+           for f in range(1, n_frames + 1) if rng.random() < 0.5}
+    tracker = Tracker(cfg)
+    for f in range(1, n_frames + 1):
+        tracker.step(f, dets.get(f, []), cmc.get(f))
+    assert track_sequence(dets, cmc, cfg) == tracker.trajectories()
 
 
 def test_removed_track_never_reemits():

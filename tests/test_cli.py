@@ -400,6 +400,21 @@ def test_track_repeated_sidecar_key_names_file_and_line(capsys, tmp_path, flag, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["1 2", "7 0"])
+def test_track_embedding_naming_no_detection_is_data_error(capsys, tmp_path, key):
+    """Frame 1 has two detections (indices 0 and 1), and there is no frame 7."""
+    write_perfect_sequence(tmp_path)
+    emb = tmp_path / "emb.txt"
+    emb.write_text(f"1 0 1 0\n{key} 0 1\n")
+    out = tmp_path / "res.txt"
+    code, _, err = run(capsys, "track", "--det", str(tmp_path / "det.txt"),
+                       "--emb", str(emb), "--out", str(out))
+    assert code == 2
+    f, i = key.split()
+    assert f"{emb}: frame {f} index {i} names no detection in {tmp_path / 'det.txt'}" in err
+    assert not out.exists()
+
+
 def test_render_non_numeric_frame_name_is_data_error(capsys, tmp_path):
     frames = tmp_path / "frames"
     frames.mkdir()

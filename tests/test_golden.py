@@ -16,8 +16,8 @@ def _golden(name) -> bytes:
 
 @pytest.mark.parametrize("scene", sorted(mg.SCENES))
 def test_scene_outputs_match_goldens(scene, tmp_path):
-    """res.txt of every kept `--maa` mode and its eval TSV at IoU 0.5 and
-    0.3, byte for byte."""
+    """The kept synth files, res.txt of every kept `--maa` mode and its eval
+    TSV at IoU 0.5 and 0.3, byte for byte."""
     for name, data in mg.scene_outputs(scene, tmp_path).items():
         assert data == _golden(name), name
 

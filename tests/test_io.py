@@ -153,6 +153,22 @@ def test_parse_embeddings_rejects_a_repeated_key(tmp_path):
         parse_embeddings(p)
 
 
+@pytest.mark.parametrize("line", ["0 0 1 0", "-2 -5 1 0", "3 -1 1 0"])
+def test_parse_embeddings_rejects_a_key_below_its_range(tmp_path, line):
+    p = tmp_path / "emb.txt"
+    p.write_text(f"1 0 1 0\n{line}\n")
+    with pytest.raises(ParseError, match=re.escape(f"{p}:2: need frame >= 1 and index >= 0")):
+        parse_embeddings(p)
+
+
+@pytest.mark.parametrize("frame", ["0", "-4"])
+def test_parse_cmc_rejects_a_frame_below_one(tmp_path, frame):
+    p = tmp_path / "cmc.txt"
+    p.write_text(f"1 1 0 0 0 1 0\n{frame} 1 0 5 0 1 0\n")
+    with pytest.raises(ParseError, match=re.escape(f"{p}:2: frame must be >= 1, got {frame}")):
+        parse_cmc_file(p)
+
+
 def test_parse_cmc(tmp_path):
     p = tmp_path / "cmc.txt"
     p.write_text("1 1 0 5 0 1 -2\n")

@@ -1,0 +1,61 @@
+"""The three-pass scene generator against the frozen one-loop generator in
+synthsim_reference.py, bit for bit."""
+import synthsim_reference as ref
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sartrack.synthsim import ScenarioConfig, generate_scene
+
+
+def _either(corner, lo, hi):
+    """A corner value or any float in [lo, hi]."""
+    return st.one_of(st.just(corner), st.floats(lo, hi))
+
+
+@st.composite
+def _config(draw):
+    size_min = draw(_either(8.0, 1.0, 10.0))
+    size_max = size_min + draw(_either(0.0, 0.0, 8.0))
+    side = st.integers(int(2 * size_max) + 1, 64)
+    speed_min = draw(_either(0.0, 0.0, 6.0))
+    return ScenarioConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        frames=draw(st.one_of(st.just(1), st.integers(1, 12))),
+        width=draw(side), height=draw(side),
+        n_moving=draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 40))),
+        n_static_occluders=draw(st.integers(0, 4)),
+        speed_min=speed_min,
+        # Up to 40 px per frame on a canvas of at most 64: targets bounce.
+        speed_max=speed_min + draw(_either(0.0, 0.0, 34.0)),
+        size_min=size_min, size_max=size_max,
+        streak_gain=draw(_either(0.0, 0.0, 4.0)),
+        noise_amplitude=draw(_either(0.0, 0.0, 2.0)),
+        appearance_flip_speed=draw(st.floats(0.0, 10.0)),
+        p_toggle=draw(st.one_of(st.sampled_from([0.0, 0.3, 1.0]), st.floats(0.0, 1.0))))
+
+
+def _assert_scenes_equal(got, want):
+    assert len(got.frames) == len(want.frames)
+    for a, b in zip(got.frames, want.frames):
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+    assert got.gt == want.gt
+    assert got.embeddings.keys() == want.embeddings.keys()
+    for k, b in want.embeddings.items():
+        a = got.embeddings[k]
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), k
+    assert got.velocities == want.velocities
+    assert all(type(v) is float for v in got.velocities.values())
+    assert got.classes == want.classes
+    assert got.canvas == want.canvas
+
+
+@settings(max_examples=150, deadline=None)
+@given(_config())
+@example(ScenarioConfig(seed=3, n_moving=0))
+@example(ScenarioConfig(seed=4, frames=1, n_moving=1))
+@example(ScenarioConfig(seed=5, n_moving=2, speed_min=0.0, speed_max=0.0))
+@example(ScenarioConfig(seed=6, frames=30, n_moving=40, width=40, height=40, size_max=12,
+                        size_min=4, speed_min=10.0, speed_max=30.0, p_toggle=0.3))
+@example(ScenarioConfig(seed=7, n_static_occluders=0, noise_amplitude=0.0, streak_gain=0.0))
+def test_generate_scene_matches_frozen_reference(cfg):
+    _assert_scenes_equal(generate_scene(cfg), ref.generate_scene(cfg))
