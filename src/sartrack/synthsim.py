@@ -53,7 +53,10 @@ class ScenarioConfig:
             raise ValueError("frames must be >= 1")
         if self.n_moving < 0 or self.n_static_occluders < 0:
             raise ValueError("counts must be >= 0")
-        if self.speed_max < self.speed_min or self.size_max < self.size_min:
+        for name in ("speed_min", "streak_gain", "noise_amplitude", "appearance_flip_speed"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not (self.speed_min <= self.speed_max and self.size_min <= self.size_max):
             raise ValueError("empty speed or size range")
         if self.size_min <= 0:
             raise ValueError(f"size_min must be > 0, got {self.size_min}")
@@ -78,7 +81,7 @@ class PerturbConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.p_fn <= 1.0:
             raise ValueError("p_fn must be in [0,1]")
-        if self.jitter_sigma < 0 or self.lambda_fp < 0:
+        if not (self.jitter_sigma >= 0 and self.lambda_fp >= 0):  # NaN fails too
             raise ValueError("jitter_sigma and lambda_fp must be >= 0")
         if not 0.0 < self.clutter_size_min <= self.clutter_size_max:
             raise ValueError("need 0 < clutter_size_min <= clutter_size_max, got "
@@ -195,19 +198,19 @@ def generate_scene(cfg: ScenarioConfig) -> Scene:
 def perturb_detections(scene: Scene, cfg: PerturbConfig) -> dict[int, list[Detection]]:
     """Detector surrogate: drop, jitter, and clutter the ground truth.
 
-    Matched detections carry the (possibly flipped) embedding and the
-    normalized ground-truth velocity as motion awareness; clutter carries a
-    random embedding and motion awareness 0.
+    Every frame of the scene gets its kept targets, then Poisson(lambda_fp)
+    clutter boxes. Matched detections carry the (possibly flipped) embedding
+    and the normalized ground-truth velocity as motion awareness; clutter
+    carries a random embedding and motion awareness 0.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     width, height = scene.canvas
     dim = len(next(iter(scene.embeddings.values()))) if scene.embeddings else 4
     out: dict[int, list[Detection]] = {}
     by_frame = scene.gt.boxes_by_frame()
-    all_frames = sorted(by_frame)
-    for f in all_frames:
-        dets: list[Detection] = []
-        for tid, b in by_frame[f]:
+    for f in range(1, len(scene.frames) + 1):
+        rows = []  # centre x, centre y, w, h, score, class, motion awareness, embedding
+        for tid, b in by_frame.get(f, ()):
             if rng.random() < cfg.p_fn:
                 continue
             cx, cy = b.center()
@@ -217,14 +220,8 @@ def perturb_detections(scene: Scene, cfg: PerturbConfig) -> dict[int, list[Detec
                 cy += rng.normal(0, cfg.jitter_sigma)
                 w = math.exp(math.log(w) + rng.normal(0, cfg.jitter_sigma))
                 h = math.exp(math.log(h) + rng.normal(0, cfg.jitter_sigma))
-            dets.append(Detection(
-                frame=f,
-                bbox=BBox(cx - w / 2, cy - h / 2, w, h),
-                score=float(rng.uniform(0.6, 1.0)),
-                class_id=scene.classes.get(tid, 0),
-                motion_awareness=scene.velocities.get((tid, f), 0.0),
-                embedding=scene.embeddings.get((tid, f)),
-            ))
+            rows.append((cx, cy, w, h, float(rng.uniform(0.6, 1.0)), scene.classes[tid],
+                         scene.velocities[(tid, f)], scene.embeddings[(tid, f)]))
         for _ in range(int(rng.poisson(cfg.lambda_fp))):
             w = rng.uniform(cfg.clutter_size_min, cfg.clutter_size_max)
             h = rng.uniform(cfg.clutter_size_min, cfg.clutter_size_max)
@@ -232,13 +229,8 @@ def perturb_detections(scene: Scene, cfg: PerturbConfig) -> dict[int, list[Detec
             cy = rng.uniform(h / 2, height - h / 2)
             vec = rng.normal(size=dim)
             vec /= np.linalg.norm(vec)
-            dets.append(Detection(
-                frame=f,
-                bbox=BBox(cx - w / 2, cy - h / 2, w, h),
-                score=float(rng.uniform(0.1, 0.7)),
-                class_id=int(rng.integers(0, len(CLASS_NAMES))),
-                motion_awareness=0.0,
-                embedding=vec,
-            ))
-        out[f] = dets
+            rows.append((cx, cy, w, h, float(rng.uniform(0.1, 0.7)),
+                         int(rng.integers(0, len(CLASS_NAMES))), 0.0, vec))
+        out[f] = [Detection(f, BBox(cx - w / 2, cy - h / 2, w, h), *rest)
+                  for cx, cy, w, h, *rest in rows]
     return out

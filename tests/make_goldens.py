@@ -4,7 +4,8 @@
 
 Each scene goes through the command line as a user would run it: `synth`
 from a config file, `track` on the synth outputs, and `eval --tsv` at IoU
-0.5 and 0.3; some of the `synth` files are kept too. The line branch's case
+0.5 and 0.3; some of the `synth` files are kept too. One scene adds seeded
+noise to the synth embeddings before `track`. The line branch's case
 is `lineops` on frame 1 of a 64x64 synth scene. The files land in
 tests/golden/. Regenerate them only for a change that is meant to alter
 outputs, and say in CHANGES.md why they changed.
@@ -14,6 +15,8 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from sartrack import cli
 
@@ -34,14 +37,21 @@ SCENES = {
                  "size_min = 8\nsize_max = 14\nappearance_flip_speed = 3.0\np_toggle = 0.3\n"
                  "noise_amplitude = 0.0\njitter_sigma = 0.15\np_fn = 0.2\nlambda_fp = 0.5\n"),
 }
+# The ablation scene with noisy looks. Synth looks are clean one-hot vectors,
+# so mixing a matched detection's look into a track's appearance EMA changes
+# nothing; with noise it changes the result.
+SCENES["noisy-emb"] = SCENES["ablation"]
+# (sigma, seed) of the Gaussian noise added to each emb.txt vector before `track`.
+EMB_NOISE = {"noisy-emb": (0.7, 5)}
 # `--maa` modes kept per scene. The other two scenes give the same files
 # both ways, so only the ablation scene can tell the modes apart.
-MAA_MODES = {"determinism": ("on",), "seed7": ("on",), "ablation": ("on", "off")}
+MAA_MODES = {"determinism": ("on",), "seed7": ("on",), "ablation": ("on", "off"),
+             "noisy-emb": ("on",)}
 # `synth` outputs kept per scene, so motion, toggles, flipped looks and the
 # velocity column are held directly and not only through what `track` makes
 # of them. The seed-7 scene's would be large.
 SYNTH_FILES = {"determinism": ("gt.txt", "det.txt", "emb.txt"), "seed7": (),
-               "ablation": ("gt.txt", "det.txt", "emb.txt", "000050.pgm")}
+               "ablation": ("gt.txt", "det.txt", "emb.txt", "000050.pgm"), "noisy-emb": ()}
 
 LINEOPS_SCENE = "seed = 1\nframes = 1\nn_moving = 2\nwidth = 64\nheight = 64\n"
 LINEOPS_FRAME = "lineops.frame.pgm"
@@ -67,6 +77,17 @@ def synth(config_text, workdir: Path) -> Path:
     return workdir / "scene"
 
 
+def add_embedding_noise(emb: Path, sigma: float, seed: int) -> None:
+    """Add seeded Gaussian noise to every vector of an emb.txt, in place."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for line in emb.read_text().splitlines():
+        frame, index, *vec = line.split()
+        noisy = np.array(vec, dtype=float) + rng.normal(0.0, sigma, len(vec))
+        lines.append(" ".join([frame, index, *map(repr, noisy.tolist())]))
+    emb.write_text("\n".join(lines) + "\n")
+
+
 def track(scene: Path, out: Path, *flags) -> bytes:
     run_cli("track", "--det", scene / "det.txt", "--emb", scene / "emb.txt",
             "--cmc", scene / "cmc.txt", "--out", out, *flags)
@@ -76,6 +97,8 @@ def track(scene: Path, out: Path, *flags) -> bytes:
 def scene_outputs(name, workdir: Path) -> dict[str, bytes]:
     """The golden files of one scene, by file name."""
     scene = synth(SCENES[name], workdir)
+    if name in EMB_NOISE:
+        add_embedding_noise(scene / "emb.txt", *EMB_NOISE[name])
     out = {f"{name}.{f}": (scene / f).read_bytes() for f in SYNTH_FILES[name]}
     for maa in MAA_MODES[name]:
         res = workdir / f"res-maa-{maa}.txt"

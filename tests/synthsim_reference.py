@@ -1,8 +1,10 @@
-"""Frozen reference for the synth equivalence test: `generate_scene` as it
+"""Frozen reference for the synth equivalence tests: `generate_scene` as it
 was when one loop over frames and targets moved each target as a dict,
 redrew the occluders on every frame and filled keyed dicts, with its
-helpers, kept verbatim apart from this docstring and the imports. `Scene`,
-the pixel values and `normalize_velocities` come from the library.
+helpers, and `perturb_detections` as it was when it walked only the frames
+holding a ground-truth box and built a `Detection` in two places, kept
+verbatim apart from this docstring and the imports. `Scene`, the pixel
+values and `normalize_velocities` come from the library.
 Test-only; do not change it to follow the library.
 """
 from __future__ import annotations
@@ -11,9 +13,10 @@ import math
 
 import numpy as np
 
-from sartrack.core import BBox, TrajectorySet
+from sartrack.core import BBox, Detection, TrajectorySet
 from sartrack.lfa import normalize_velocities
-from sartrack.synthsim import CLASS_NAMES, SHADOW_VALUE, STREAK_VALUE, Scene, ScenarioConfig
+from sartrack.synthsim import (CLASS_NAMES, SHADOW_VALUE, STREAK_VALUE, PerturbConfig, Scene,
+                               ScenarioConfig)
 
 
 def _reflect(pos: float, vel: float, lo: float, hi: float) -> tuple[float, float]:
@@ -132,3 +135,55 @@ def generate_scene(cfg: ScenarioConfig) -> Scene:
     gt = TrajectorySet.build(sorted(tracks.items()))
     classes = {t["id"]: t["class"] for t in targets}
     return Scene(frames_out, gt, embeddings, velocities, (cfg.width, cfg.height), classes)
+
+
+def perturb_detections(scene: Scene, cfg: PerturbConfig) -> dict[int, list[Detection]]:
+    """Detector surrogate: drop, jitter, and clutter the ground truth.
+
+    Matched detections carry the (possibly flipped) embedding and the
+    normalized ground-truth velocity as motion awareness; clutter carries a
+    random embedding and motion awareness 0.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    width, height = scene.canvas
+    dim = len(next(iter(scene.embeddings.values()))) if scene.embeddings else 4
+    out: dict[int, list[Detection]] = {}
+    by_frame = scene.gt.boxes_by_frame()
+    all_frames = sorted(by_frame)
+    for f in all_frames:
+        dets: list[Detection] = []
+        for tid, b in by_frame[f]:
+            if rng.random() < cfg.p_fn:
+                continue
+            cx, cy = b.center()
+            w, h = b.w, b.h
+            if cfg.jitter_sigma > 0:
+                cx += rng.normal(0, cfg.jitter_sigma)
+                cy += rng.normal(0, cfg.jitter_sigma)
+                w = math.exp(math.log(w) + rng.normal(0, cfg.jitter_sigma))
+                h = math.exp(math.log(h) + rng.normal(0, cfg.jitter_sigma))
+            dets.append(Detection(
+                frame=f,
+                bbox=BBox(cx - w / 2, cy - h / 2, w, h),
+                score=float(rng.uniform(0.6, 1.0)),
+                class_id=scene.classes.get(tid, 0),
+                motion_awareness=scene.velocities.get((tid, f), 0.0),
+                embedding=scene.embeddings.get((tid, f)),
+            ))
+        for _ in range(int(rng.poisson(cfg.lambda_fp))):
+            w = rng.uniform(cfg.clutter_size_min, cfg.clutter_size_max)
+            h = rng.uniform(cfg.clutter_size_min, cfg.clutter_size_max)
+            cx = rng.uniform(w / 2, width - w / 2)
+            cy = rng.uniform(h / 2, height - h / 2)
+            vec = rng.normal(size=dim)
+            vec /= np.linalg.norm(vec)
+            dets.append(Detection(
+                frame=f,
+                bbox=BBox(cx - w / 2, cy - h / 2, w, h),
+                score=float(rng.uniform(0.1, 0.7)),
+                class_id=int(rng.integers(0, len(CLASS_NAMES))),
+                motion_awareness=0.0,
+                embedding=vec,
+            ))
+        out[f] = dets
+    return out

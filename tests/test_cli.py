@@ -175,6 +175,24 @@ def test_eval_out_of_range_frames(capsys, tmp_path):
     assert str(gt) in err and str(res) in err
 
 
+@pytest.mark.parametrize("iou", ["0", "-1", "1.5", "nan"])
+def test_eval_iou_outside_unit_interval_is_data_error(capsys, tmp_path, iou):
+    write_perfect_sequence(tmp_path)
+    code, out, err = run(capsys, "eval", "--gt", str(tmp_path / "gt.txt"),
+                         "--res", str(tmp_path / "gt.txt"), "--iou", iou, "--tsv")
+    assert code == 2 and out == ""
+    assert "iou_thr must be in (0, 1]" in err and "Traceback" not in err
+
+
+def test_eval_iou_one_is_accepted(capsys, tmp_path):
+    write_perfect_sequence(tmp_path)
+    code, table, _ = run(capsys, "eval", "--gt", str(tmp_path / "gt.txt"),
+                         "--res", str(tmp_path / "gt.txt"), "--iou", "1", "--tsv")
+    assert code == 0
+    header, values = table.strip().split("\n")
+    assert dict(zip(header.split("\t"), values.split("\t")))["MOTA"] == "1.000"
+
+
 def test_eval_human_readable_aligned(capsys, tmp_path):
     write_perfect_sequence(tmp_path)
     code, table, _ = run(capsys, "eval", "--gt", str(tmp_path / "gt.txt"),
@@ -237,6 +255,33 @@ def test_synth_clutter_larger_than_canvas_is_data_error(capsys, tmp_path):
     code, _, err = run(capsys, "synth", "--config", str(cfg), "--out-dir", str(tmp_path / "s"))
     assert code == 2
     assert str(cfg) in err and "clutter_size_max" in err
+
+
+@pytest.mark.parametrize("line", ["speed_min = -4\nspeed_max = -2", "noise_amplitude = -1",
+                                  "streak_gain = -2", "appearance_flip_speed = -0.5"],
+                         ids=["speed_min", "noise_amplitude", "streak_gain",
+                              "appearance_flip_speed"])
+def test_synth_negative_rate_is_data_error(capsys, tmp_path, line):
+    cfg = tmp_path / "scenario.txt"
+    cfg.write_text(f"frames = 2\nwidth = 64\nheight = 64\n{line}\n")
+    out = tmp_path / "scene"
+    code, _, err = run(capsys, "synth", "--config", str(cfg), "--out-dir", str(out))
+    assert code == 2
+    assert str(cfg) in err and line.split()[0] in err and "must be >= 0" in err
+    assert not out.exists()
+
+
+def test_synth_clutter_without_targets(capsys, tmp_path):
+    """Clutter falls on every frame, also in a scene with no targets. At 20
+    boxes a frame, a frame without any has odds of e**-20."""
+    cfg = tmp_path / "scenario.txt"
+    cfg.write_text("frames = 10\nn_moving = 0\nwidth = 64\nheight = 64\nlambda_fp = 20\n")
+    out = tmp_path / "scene"
+    code, _, _ = run(capsys, "synth", "--config", str(cfg), "--out-dir", str(out))
+    assert code == 0
+    assert out.joinpath("gt.txt").read_text() == ""
+    frames = {int(line.split(",")[0]) for line in out.joinpath("det.txt").read_text().split()}
+    assert frames == set(range(1, 11))
 
 
 def test_lineops_on_pgm(capsys, tmp_path):

@@ -206,6 +206,25 @@ def test_evaluate_report_bounds():
     assert rep.mota <= 1.0
 
 
+@pytest.mark.parametrize("iou_thr", [0.0, -1.0, 1.5, float("nan")])
+@pytest.mark.parametrize("fn", [clear_mot, id_metrics, evaluate])
+def test_iou_threshold_outside_unit_interval_is_error(fn, iou_thr):
+    """Above 1 or NaN nothing can match; at or below 0 every pair can, even
+    pairs that do not overlap."""
+    gt, pred = id_switch_fixture()
+    with pytest.raises(ValueError, match=r"iou_thr must be in \(0, 1\]"):
+        fn(gt, pred, iou_thr)
+    # Also when both sets are empty, which id_metrics scores without pairing.
+    if fn is id_metrics:
+        with pytest.raises(ValueError):
+            fn(traj([]), traj([]), iou_thr)
+
+
+def test_iou_threshold_one_is_accepted(gt_simple):
+    assert clear_mot(gt_simple, gt_simple, 1.0)[:4] == (1.0, 0, 0, 0)
+    assert id_metrics(gt_simple, gt_simple, 1.0) == (1.0, 1.0, 1.0)
+
+
 _COORD = st.integers(0, 12)
 _SIDE = st.integers(5, 10)
 

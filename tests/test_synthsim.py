@@ -137,6 +137,21 @@ def test_perturb_clutter_rate():
             assert d.motion_awareness == 0.0
 
 
+def test_perturb_clutter_on_every_frame_without_targets():
+    """Clutter is Poisson(lambda_fp) per frame of the scene, also on frames
+    that hold no ground-truth box."""
+    scene = generate_scene(ScenarioConfig(seed=4, frames=200, n_moving=0))
+    dets = perturb_detections(scene, PerturbConfig(seed=1, lambda_fp=3.0))
+    assert list(dets) == list(range(1, 201))
+    total = sum(len(ds) for ds in dets.values())
+    # Poisson(600): 3 sigma is ~73
+    assert abs(total - 600) < 3 * np.sqrt(600)
+    for f, ds in dets.items():
+        for d in ds:
+            assert d.frame == f and 0.1 <= d.score <= 0.7
+            assert d.motion_awareness == 0.0
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(frames=0)
@@ -150,7 +165,8 @@ def test_config_validation():
             ScenarioConfig(**bad)
     assert ScenarioConfig(width=40, height=40, p_toggle=1.0).width == 40
     for bad in ({"clutter_size_min": 0}, {"clutter_size_min": -2},
-                {"clutter_size_min": 30}, {"seed": -1}):
+                {"clutter_size_min": 30}, {"seed": -1}, {"jitter_sigma": float("nan")},
+                {"lambda_fp": float("nan")}):
         with pytest.raises(ValueError):
             PerturbConfig(**bad)
     assert PerturbConfig(clutter_size_min=24).clutter_size_min == 24
@@ -163,3 +179,20 @@ def test_load_config_gives_each_class_its_keys(tmp_path):
     assert cfg.frames == 7 and cfg.speed_max == 6.0
     assert pc.p_fn == 0.1
     assert cfg.seed == pc.seed == 3
+
+
+@pytest.mark.parametrize("field", ["speed_min", "streak_gain", "noise_amplitude",
+                                   "appearance_flip_speed"])
+@pytest.mark.parametrize("value", [-1.0, -1e-9, float("nan")])
+def test_scenario_config_rejects_negative_or_nan_rates(field, value):
+    bad = {field: value, "speed_max": 4.0}
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig(**bad)
+    assert getattr(ScenarioConfig(**{field: 0.0}), field) == 0.0
+
+
+@pytest.mark.parametrize("bad", [{"speed_max": float("nan")}, {"size_max": float("nan")},
+                                 {"size_min": float("nan")}])
+def test_scenario_config_rejects_nan_range_ends(bad):
+    with pytest.raises(ValueError, match="empty speed or size range"):
+        ScenarioConfig(**bad)

@@ -1,10 +1,12 @@
-"""The three-pass scene generator against the frozen one-loop generator in
-synthsim_reference.py, bit for bit."""
+"""The three-pass scene generator and the one-loop detection perturbation
+against the frozen versions in synthsim_reference.py, bit for bit."""
+import dataclasses
+
 import synthsim_reference as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sartrack.synthsim import ScenarioConfig, generate_scene
+from sartrack.synthsim import PerturbConfig, ScenarioConfig, generate_scene, perturb_detections
 
 
 def _either(corner, lo, hi):
@@ -59,3 +61,39 @@ def _assert_scenes_equal(got, want):
 @example(ScenarioConfig(seed=7, n_static_occluders=0, noise_amplitude=0.0, streak_gain=0.0))
 def test_generate_scene_matches_frozen_reference(cfg):
     _assert_scenes_equal(generate_scene(cfg), ref.generate_scene(cfg))
+
+
+@st.composite
+def _scene_and_perturbation(draw):
+    """A scene with at least one target, so every frame holds a ground-truth
+    box and the frozen version walks the same frames, and a perturbation
+    whose clutter fits the canvas."""
+    cfg = draw(_config())
+    cfg = dataclasses.replace(cfg, n_moving=max(cfg.n_moving, 1))
+    clutter_min = draw(st.floats(1.0, 6.0))
+    return cfg, PerturbConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        jitter_sigma=draw(_either(0.0, 0.01, 0.5)),
+        p_fn=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        lambda_fp=draw(_either(0.0, 0.1, 4.0)),
+        clutter_size_min=clutter_min,
+        clutter_size_max=draw(st.floats(clutter_min, min(24.0, cfg.width, cfg.height))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scene_and_perturbation())
+@example((ScenarioConfig(seed=2, frames=10, n_moving=1), PerturbConfig(seed=0, lambda_fp=3.0)))
+@example((ScenarioConfig(seed=3, frames=20, n_moving=5),
+          PerturbConfig(seed=1, jitter_sigma=0.2, p_fn=0.3, lambda_fp=2.0)))
+def test_perturb_detections_matches_frozen_reference(case):
+    cfg, pert = case
+    scene = generate_scene(cfg)
+    got, want = perturb_detections(scene, pert), ref.perturb_detections(scene, pert)
+    assert list(got) == list(want)
+    for f, dets in want.items():
+        assert len(got[f]) == len(dets), f
+        for a, b in zip(got[f], dets):
+            assert (a.frame, a.bbox, a.score, a.class_id, a.motion_awareness) == \
+                (b.frame, b.bbox, b.score, b.class_id, b.motion_awareness), f
+            ea, eb = a.embedding, b.embedding
+            assert (ea.shape, ea.dtype, ea.tobytes()) == (eb.shape, eb.dtype, eb.tobytes()), f
