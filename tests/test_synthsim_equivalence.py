@@ -70,14 +70,15 @@ def _scene_and_perturbation(draw):
     whose clutter fits the canvas."""
     cfg = draw(_config())
     cfg = dataclasses.replace(cfg, n_moving=max(cfg.n_moving, 1))
-    clutter_min = draw(st.floats(1.0, 6.0))
+    clutter_cap = min(24.0, cfg.width, cfg.height)
+    clutter_min = draw(st.floats(1.0, min(6.0, clutter_cap)))
     return cfg, PerturbConfig(
         seed=draw(st.integers(0, 2**32 - 1)),
         jitter_sigma=draw(_either(0.0, 0.01, 0.5)),
         p_fn=draw(st.sampled_from([0.0, 0.3, 1.0])),
         lambda_fp=draw(_either(0.0, 0.1, 4.0)),
         clutter_size_min=clutter_min,
-        clutter_size_max=draw(st.floats(clutter_min, min(24.0, cfg.width, cfg.height))))
+        clutter_size_max=draw(st.floats(clutter_min, clutter_cap)))
 
 
 @settings(max_examples=150, deadline=None)
