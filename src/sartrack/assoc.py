@@ -86,15 +86,24 @@ def appearance_cost(track_emb: np.ndarray, track_has: np.ndarray,
     return out
 
 
+def motion_gate(v_track, v_det, cfg: TrackerConfig) -> np.ndarray:
+    """Pairs whose larger motion awareness reaches the gate threshold."""
+    return np.maximum.outer(v_track, v_det) >= cfg.tau_v
+
+
 def maa_fuse(iou_c: np.ndarray, app_c: np.ndarray, v_track, v_det,
-             cfg: TrackerConfig) -> np.ndarray:
+             cfg: TrackerConfig, gate: np.ndarray | None = None) -> np.ndarray:
     """Blend appearance into the IoU cost, discarding it for pairs whose
-    motion awareness crosses the gate threshold (or lacks an embedding)."""
+    motion awareness crosses the gate threshold (or lacks an embedding).
+    ``gate``, if given, is ``motion_gate(v_track, v_det, cfg)`` built by the
+    caller."""
     iou_c, app_c = np.asarray(iou_c, dtype=float), np.asarray(app_c, dtype=float)
     if iou_c.shape != app_c.shape:
         raise ValueError(f"shape mismatch: {iou_c.shape} vs {app_c.shape}")
-    gate = (np.maximum.outer(v_track, v_det) >= cfg.tau_v) | np.isnan(app_c)
-    return np.where(gate, iou_c, cfg.lambda_app * app_c + (1.0 - cfg.lambda_app) * iou_c)
+    if gate is None:
+        gate = motion_gate(v_track, v_det, cfg)
+    return np.where(gate | np.isnan(app_c), iou_c,
+                    cfg.lambda_app * app_c + (1.0 - cfg.lambda_app) * iou_c)
 
 
 class Tracker:
@@ -215,9 +224,9 @@ class Tracker:
         if pool1.size and high.size:
             acost = appearance_cost(self.emb[pool1], self.has_emb[pool1], d_emb[high], d_has[high])
             v_t, v_d = self.v_ema[pool1], d_v[high]
-            fused = maa_fuse(iou_cost(pred_boxes[pool1], boxes[high]), acost, v_t, v_d, cfg)
-            rest_high = assign(pool1, high, fused, cfg.match_thresh_stage1,
-                               np.maximum.outer(v_t, v_d) >= cfg.tau_v)
+            gate = motion_gate(v_t, v_d, cfg)
+            fused = maa_fuse(iou_cost(pred_boxes[pool1], boxes[high]), acost, v_t, v_d, cfg, gate)
+            rest_high = assign(pool1, high, fused, cfg.match_thresh_stage1, gate)
 
         # Stage 2: still-confirmed leftovers vs low-score detections, IoU only.
         pool2 = pool1[~matched[pool1] & (state[pool1] == _CONF)]

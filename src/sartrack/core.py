@@ -5,9 +5,15 @@ downward (MOTChallenge convention). Frame indices are 1-based.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Largest |x|, |y|, w or h of a box read from a file or drawn by the scene
+# generator, in pixels: far beyond any frame, yet small enough that box
+# areas, IoU and Kalman covariances stay finite.
+COORD_MAX = 1e9
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,7 +88,8 @@ class Detection:
             raise ValueError(f"motion_awareness must be in [0,1], got {self.motion_awareness}")
         if self.embedding is not None:
             emb = np.asarray(self.embedding, dtype=float)
-            n = float(np.linalg.norm(emb))
+            flat = emb.ravel(order="K")
+            n = math.sqrt(flat.dot(flat))  # np.linalg.norm(emb), bit for bit
             if abs(n - 1.0) > 1e-6:
                 raise ValueError(f"embedding must be unit norm, got norm {n}")
             object.__setattr__(self, "embedding", emb)

@@ -2,8 +2,12 @@
 embedding and camera-motion sidecars, proposal lists, flat key=value configs,
 raw tensor files, and PGM/PPM images.
 
-Every text input is ASCII and goes through ``read_lines`` and
-``parse_numbers``, so a malformed line fails as ``path:line: message``.
+Every text input is ASCII. MOT, embedding and camera-motion files that hold
+only digits, ``+-.eE``, their delimiter, spaces and LF or CRLF line ends are
+read in bulk: one ``np.loadtxt``, then each check on the whole table. Every
+other text file, and any that fails a check there, goes through
+``read_lines`` and ``parse_numbers`` line by line, so a malformed line fails
+as ``path:line: message``.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BBox, Detection, TrajectorySet
+from .core import COORD_MAX, BBox, Detection, TrajectorySet
 from .lfa import Proposal
 from .motion import Affine2x3
 
@@ -38,9 +42,7 @@ class ParseError(ValueError):
 
 def _fmt(v: float) -> str:
     f = float(v)
-    if f == int(f) and abs(f) < 1e15:
-        return str(int(f))
-    return repr(f)
+    return str(int(f)) if f.is_integer() and abs(f) < 1e15 else repr(f)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,13 +105,63 @@ def parse_numbers(path, line_no, fields, int_cols) -> list:
 
 _MOT_INT_COLS = (0, 1, 7)
 
-# Largest |x|, |y|, w or h of a MOT box, in pixels: far beyond any frame, yet
-# small enough that box areas, IoU and Kalman covariances stay finite.
-_COORD_MAX = 1e9
+
+def _read_table(path, delimiter: str | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """(line numbers, float rows) of the nonblank lines of a plain numeric
+    file, every value finite; None for any other file. A plain file holds
+    only digits, ``+-.eE``, the delimiter (None: runs of spaces), spaces and
+    LF or CRLF line ends. On those bytes ``np.loadtxt`` reads the same
+    numbers as ``float()``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if (data.translate(None, b"0123456789+-.eE \n\r" + (delimiter or "").encode())
+            or data.count(b"\r") != data.count(b"\r\n")):
+        return None
+    lines = data.decode("ascii").replace("\r\n", "\n").split("\n")
+    line_nos = [i for i, line in enumerate(lines, start=1) if line.strip()]
+    if not line_nos:
+        return None
+    try:
+        rows = np.loadtxt([lines[i - 1] for i in line_nos], delimiter=delimiter,
+                          comments=None, ndmin=2)
+    except ValueError:  # a field that is no number, or a changing column count
+        return None
+    if len(rows) != len(line_nos) or not np.isfinite(rows).all():
+        return None
+    return np.array(line_nos), rows
+
+
+def _integral(cols: np.ndarray) -> bool:
+    """Whether every value is an integer below 2**53 in magnitude: the float
+    parse kept it exact, so ``int()`` of its text gives the same int."""
+    return bool(np.all((cols == np.trunc(cols)) & (np.abs(cols) < 2.0**53)))
 
 
 def parse_mot_file(path) -> list[MotRecord]:
     """Records sorted by frame (stable); 9 or 10 comma-separated columns."""
+    table = _read_table(path, ",")
+    if table is None:
+        return _parse_mot_lines(path)
+    line_nos, rows = table
+    ncols = rows.shape[1]
+    if not (ncols in (9, 10) and _integral(rows[:, _MOT_INT_COLS])
+            and (rows[:, 0] >= 1).all() and (rows[:, 4:6] > 0).all()
+            and (np.abs(rows[:, 2:6]) <= COORD_MAX).all()
+            and (ncols == 9 or ((rows[:, 9] >= 0.0) & (rows[:, 9] <= 1.0)).all())):
+        return _parse_mot_lines(path)
+    order = np.argsort(rows[:, 0], kind="stable")
+    rows = rows[order]
+    frame, tid, cls = rows[:, _MOT_INT_COLS].astype(np.int64).T.tolist()
+    x, y, w, h, conf = rows[:, 2:7].T.tolist()
+    ma = rows[:, 9].tolist() if ncols == 10 else [None] * len(rows)
+    sources = [(path, n) for n in line_nos[order].tolist()]
+    return list(map(MotRecord, frame, tid, x, y, w, h, conf, cls, rows[:, 8].tolist(), ma,
+                    sources))
+
+
+def _parse_mot_lines(path) -> list[MotRecord]:
+    """``parse_mot_file`` line by line, for the files the bulk read declines;
+    the source of its ``path:line: message`` errors."""
     records = []
     for line_no, line in read_lines(path):
         fields = line.split(",")
@@ -120,8 +172,8 @@ def parse_mot_file(path) -> list[MotRecord]:
             raise ParseError(path, line_no, f"frame must be >= 1, got {vals[0]}")
         if vals[4] <= 0 or vals[5] <= 0:
             raise ParseError(path, line_no, f"nonpositive box size {vals[4]}x{vals[5]}")
-        if max(abs(vals[2]), abs(vals[3]), vals[4], vals[5]) > _COORD_MAX:
-            raise ParseError(path, line_no, f"box coordinate beyond {_COORD_MAX:.0f} px")
+        if max(abs(vals[2]), abs(vals[3]), vals[4], vals[5]) > COORD_MAX:
+            raise ParseError(path, line_no, f"box coordinate beyond {COORD_MAX:.0f} px")
         if len(vals) == 10 and not 0.0 <= vals[9] <= 1.0:
             raise ParseError(path, line_no, f"motion awareness must be in [0,1], got {vals[9]}")
         records.append(MotRecord(*vals, source=(path, line_no)))
@@ -138,15 +190,10 @@ def records_to_detections(records: list[MotRecord],
     embeddings = embeddings or {}
     out: dict[int, list[Detection]] = {}
     for r in records:
-        idx = len(out.setdefault(r.frame, []))
-        out[r.frame].append(Detection(
-            frame=r.frame,
-            bbox=r.bbox(),
-            score=min(max(r.conf, 0.0), 1.0),
-            class_id=max(r.class_id, 0),
-            motion_awareness=r.motion_awareness,
-            embedding=embeddings.get((r.frame, idx)),
-        ))
+        dets = out.setdefault(r.frame, [])
+        dets.append(Detection(r.frame, BBox(r.x, r.y, r.w, r.h), min(max(r.conf, 0.0), 1.0),
+                              max(r.class_id, 0), r.motion_awareness,
+                              embeddings.get((r.frame, len(dets)))))
     return out
 
 
@@ -165,19 +212,35 @@ def records_to_trajectories(records: list[MotRecord]) -> TrajectorySet:
 
 def write_mot_file(tset: TrajectorySet, path) -> None:
     """One line per box, frame-major, conf 1, class and visibility -1."""
-    lines = []
-    for frame, boxes in tset.boxes_by_frame().items():
-        for tid, b in boxes:
-            lines.append(MotRecord(frame, tid, b.x, b.y, b.w, b.h, 1, -1, -1).render())
+    text = "".join(f"{frame},{tid},{_fmt(b.x)},{_fmt(b.y)},{_fmt(b.w)},{_fmt(b.h)},1,-1,-1\n"
+                   for frame, boxes in tset.boxes_by_frame().items() for tid, b in boxes)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines))
-        if lines:
-            fh.write("\n")
+        fh.write(text)
 
 
 def parse_embeddings(path) -> dict[tuple[int, int], np.ndarray]:
     """Lines of `frame det_index v1 ... vd`, one per key; vectors are L2-normalized.
     `det_index` is the 0-based position among that frame's detections."""
+    table = _read_table(path, None)
+    if table is None or table[1].shape[1] < 3 or not _integral(table[1][:, :2]):
+        return _parse_embedding_lines(path)
+    rows = table[1]
+    keys = list(zip(*rows[:, :2].astype(np.int64).T.tolist()))
+    vecs = rows[:, 2:]
+    # Each row's own dot product, as np.linalg.norm takes it for one vector;
+    # np.linalg.norm(axis=1) can differ in the last bit. A norm that
+    # overflows sends the file to the per-line parser.
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0]
+    if not ((rows[:, 0] >= 1).all() and (rows[:, 1] >= 0).all()
+            and ((norms >= _NORM_MIN) & (norms < math.inf)).all()
+            and len(set(keys)) == len(keys)):
+        return _parse_embedding_lines(path)
+    return dict(zip(keys, vecs / norms[:, None]))
+
+
+def _parse_embedding_lines(path) -> dict[tuple[int, int], np.ndarray]:
+    """``parse_embeddings`` line by line, for the files the bulk read declines."""
     out: dict[tuple[int, int], np.ndarray] = {}
     dim = None
     for line_no, line in read_lines(path):
@@ -203,14 +266,26 @@ def parse_embeddings(path) -> dict[tuple[int, int], np.ndarray]:
 
 
 def write_embeddings(emb: dict[tuple[int, int], np.ndarray], path) -> None:
+    text = "".join(f"{f} {i} {' '.join(map(_fmt, np.asarray(emb[f, i], float).tolist()))}\n"
+                   for f, i in sorted(emb))
     with open(path, "w", encoding="ascii") as fh:
-        for (frame, idx) in sorted(emb):
-            vec = " ".join(_fmt(v) for v in emb[(frame, idx)])
-            fh.write(f"{frame} {idx} {vec}\n")
+        fh.write(text)
 
 
 def parse_cmc_file(path) -> dict[int, Affine2x3]:
     """Lines of `frame r11 r12 tx r21 r22 ty`, one per frame; missing frames mean identity."""
+    table = _read_table(path, None)
+    if table is None or table[1].shape[1] != 7 or not _integral(table[1][:, 0]):
+        return _parse_cmc_lines(path)
+    rows = table[1]
+    frames = rows[:, 0].astype(np.int64).tolist()
+    if not ((rows[:, 0] >= 1).all() and len(set(frames)) == len(frames)):
+        return _parse_cmc_lines(path)
+    return dict(zip(frames, map(Affine2x3, rows[:, 1:].reshape(-1, 2, 3))))
+
+
+def _parse_cmc_lines(path) -> dict[int, Affine2x3]:
+    """``parse_cmc_file`` line by line, for the files the bulk read declines."""
     out: dict[int, Affine2x3] = {}
     for line_no, line in read_lines(path):
         fields = line.split()
@@ -369,7 +444,11 @@ def to_uint8(x: np.ndarray) -> np.ndarray:
     lo, hi = x.min(), x.max()
     if hi <= lo:
         return np.zeros(x.shape, dtype=np.uint8)
-    return np.round((x - lo) / (hi - lo) * 255).astype(np.uint8)
+    # (x - lo) / (hi - lo) * 255, rounded, one step at a time in one buffer.
+    buf = np.subtract(x, lo)
+    buf /= hi - lo
+    buf *= 255
+    return np.round(buf, out=buf).astype(np.uint8)
 
 
 def id_color(track_id: int) -> tuple[int, int, int]:

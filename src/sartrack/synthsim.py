@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import BBox, Detection, TrajectorySet
+from .core import COORD_MAX, BBox, Detection, TrajectorySet
 from .lfa import normalize_velocities
 
 CLASS_NAMES = ("car", "ship", "airplane")
@@ -53,9 +53,19 @@ class ScenarioConfig:
             raise ValueError("frames must be >= 1")
         if self.n_moving < 0 or self.n_static_occluders < 0:
             raise ValueError("counts must be >= 0")
+        for name in ("speed_min", "speed_max", "size_min", "size_max", "streak_gain",
+                     "noise_amplitude", "appearance_flip_speed", "p_toggle"):
+            if math.isinf(getattr(self, name)):  # NaN fails the checks below
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("speed_min", "streak_gain", "noise_amplitude", "appearance_flip_speed"):
             if not getattr(self, name) >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # Targets move, grow and streak by at most COORD_MAX pixels, the
+        # bound io puts on a box read from a file.
+        for name, value in (("speed_max", self.speed_max), ("size_max", self.size_max),
+                            ("streak_gain * speed_max", self.streak_gain * self.speed_max)):
+            if value > COORD_MAX:
+                raise ValueError(f"{name} must be <= {COORD_MAX:.0f} px, got {value}")
         if not (self.speed_min <= self.speed_max and self.size_min <= self.size_max):
             raise ValueError("empty speed or size range")
         if self.size_min <= 0:

@@ -4,7 +4,13 @@ docstring, the merged imports, and the copies of the three config
 `from_dict` methods (as functions), the synth command's unknown-key check and
 the command line's proposal reader (which raised the command line's own
 `DataError`, here `ValueError`). Record and config classes come from the
-library. Test-only; do not change it to follow the library.
+library.
+
+At the end, the writers as they were before they were written in bulk:
+`_fmt`, `MotRecord.render` (as a function of the record), `write_mot_file`
+(calling that function), `write_embeddings` and `to_uint8`.
+
+Test-only; do not change it to follow the library.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ from dataclasses import fields
 import numpy as np
 
 from sartrack.assoc import TrackerConfig
-from sartrack.core import BBox
+from sartrack.core import BBox, TrajectorySet
 from sartrack.io import MotRecord, ParseError
 from sartrack.lfa import Proposal
 from sartrack.motion import Affine2x3
@@ -172,3 +178,47 @@ def parse_proposals(path) -> list[Proposal]:
                 raise ValueError(f"{path}:{line_no}: non-numeric field") from None
             props.append(Proposal(BBox(*vals[:4]), np.array(vals[5:]), vals[4]))
     return props
+
+
+def _fmt(v: float) -> str:
+    f = float(v)
+    if f == int(f) and abs(f) < 1e15:
+        return str(int(f))
+    return repr(f)
+
+
+def render(self: MotRecord) -> str:
+    parts = [str(self.frame), str(self.track_id),
+             _fmt(self.x), _fmt(self.y), _fmt(self.w), _fmt(self.h),
+             _fmt(self.conf), str(self.class_id), _fmt(self.visibility)]
+    if self.motion_awareness is not None:
+        parts.append(_fmt(self.motion_awareness))
+    return ",".join(parts)
+
+
+def write_mot_file(tset: TrajectorySet, path) -> None:
+    """One line per box, frame-major, conf 1, class and visibility -1."""
+    lines = []
+    for frame, boxes in tset.boxes_by_frame().items():
+        for tid, b in boxes:
+            lines.append(render(MotRecord(frame, tid, b.x, b.y, b.w, b.h, 1, -1, -1)))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines))
+        if lines:
+            fh.write("\n")
+
+
+def write_embeddings(emb: dict[tuple[int, int], np.ndarray], path) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        for (frame, idx) in sorted(emb):
+            vec = " ".join(_fmt(v) for v in emb[(frame, idx)])
+            fh.write(f"{frame} {idx} {vec}\n")
+
+
+def to_uint8(x: np.ndarray) -> np.ndarray:
+    """Min-max normalize any real array to 8-bit."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = x.min(), x.max()
+    if hi <= lo:
+        return np.zeros(x.shape, dtype=np.uint8)
+    return np.round((x - lo) / (hi - lo) * 255).astype(np.uint8)

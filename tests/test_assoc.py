@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sartrack import assoc
 from sartrack.assoc import (Lifecycle, Tracker, TrackerConfig, appearance_cost,
-                            hungarian, iou_cost, maa_fuse, track_sequence)
+                            hungarian, iou_cost, maa_fuse, motion_gate, track_sequence)
 from sartrack.core import BBox, Detection
 from sartrack.io import load_config
 from sartrack.metrics import clear_mot
@@ -162,6 +163,32 @@ def test_maa_gate_invariance_property():
         g = np.maximum(v_t[:, None], v_d[None, :])
         gated = g >= cfg.tau_v
         assert np.array_equal(out[gated], iou_c[gated])
+
+
+def test_maa_fuse_takes_the_callers_gate():
+    rng = np.random.default_rng(3)
+    cfg = TrackerConfig()
+    iou_c, app_c = rng.random((3, 4)), rng.random((3, 4))
+    v_t, v_d = rng.random(3), rng.random(4)
+    gate = motion_gate(v_t, v_d, cfg)
+    assert np.array_equal(maa_fuse(iou_c, app_c, v_t, v_d, cfg, gate),
+                          maa_fuse(iou_c, app_c, v_t, v_d, cfg))
+    # The given mask is used as it is, not rebuilt from the velocities.
+    out = maa_fuse(iou_c, app_c, v_t, v_d, cfg, np.ones((3, 4), dtype=bool))
+    assert np.array_equal(out, iou_c)
+
+
+def test_step_builds_the_motion_gate_once(monkeypatch):
+    """Stage 1 builds one gate per frame and hands it to both the cost
+    blend and the appearance-EMA mask."""
+    calls = []
+    monkeypatch.setattr(assoc, "motion_gate",
+                        lambda *a: calls.append(1) or motion_gate(*a))
+    e = np.array([1.0, 0.0])
+    tracker = Tracker(TrackerConfig(n_init=1))
+    for f in range(1, 5):
+        tracker.step(f, [det(f, 10, 10, ma=0.2, emb=e), det(f, 40, 40, ma=0.9, emb=e)])
+    assert len(calls) == 3  # frames 2-4 reach stage 1
 
 
 def test_spawn_path_n_init_1():

@@ -271,6 +271,21 @@ def test_synth_negative_rate_is_data_error(capsys, tmp_path, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line,field", [
+    ("streak_gain = 1e308", "streak_gain * speed_max"),
+    ("speed_min = 1e308\nspeed_max = 1e308", "speed_max"),
+    ("speed_max = 1e308", "speed_max"),
+])
+def test_synth_huge_motion_is_data_error(capsys, tmp_path, line, field):
+    cfg = tmp_path / "scenario.txt"
+    cfg.write_text(f"frames = 2\nwidth = 64\nheight = 64\n{line}\n")
+    out = tmp_path / "scene"
+    code, _, err = run(capsys, "synth", "--config", str(cfg), "--out-dir", str(out))
+    assert code == 2
+    assert str(cfg) in err and f"{field} must be <= 1000000000 px" in err
+    assert not out.exists()
+
+
 def test_synth_clutter_without_targets(capsys, tmp_path):
     """Clutter falls on every frame, also in a scene with no targets. At 20
     boxes a frame, a frame without any has odds of e**-20."""

@@ -73,6 +73,16 @@ def test_detection_validation():
     assert np.linalg.norm(d.embedding) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("shape,order", [((30,), "C"), ((5, 6), "C"), ((5, 6), "F")])
+def test_detection_norm_check_reports_the_linalg_norm(shape, order):
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        emb = np.asarray(rng.normal(size=shape) * 2.0, order=order)
+        with pytest.raises(ValueError) as exc:
+            Detection(frame=1, bbox=BBox(0, 0, 1, 1), score=0.5, embedding=emb)
+        assert str(exc.value).endswith(f"got norm {float(np.linalg.norm(emb))}")
+
+
 def test_trajectory_set_invariants():
     b = BBox(0, 0, 1, 1)
     with pytest.raises(ValueError):

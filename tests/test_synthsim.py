@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,31 @@ def test_scenario_config_rejects_negative_or_nan_rates(field, value):
 def test_scenario_config_rejects_nan_range_ends(bad):
     with pytest.raises(ValueError, match="empty speed or size range"):
         ScenarioConfig(**bad)
+
+
+@pytest.mark.parametrize("field", ["speed_min", "speed_max", "size_min", "size_max",
+                                   "streak_gain", "noise_amplitude", "appearance_flip_speed",
+                                   "p_toggle"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_scenario_config_rejects_infinite_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ScenarioConfig(**{field: value})
+
+
+@pytest.mark.parametrize("bad,field", [
+    ({"speed_max": 1e9 + 1}, "speed_max"),
+    ({"speed_min": 1e308, "speed_max": 1e308}, "speed_max"),
+    ({"size_max": 2e9, "width": 5 * 10**9, "height": 5 * 10**9}, "size_max"),
+    ({"streak_gain": 1e308}, r"streak_gain \* speed_max"),
+    ({"streak_gain": 2.6e8, "speed_max": 4.0}, r"streak_gain \* speed_max"),
+])
+def test_scenario_config_caps_motion_and_size(bad, field):
+    with pytest.raises(ValueError, match=f"{field} must be <= 1000000000 px"):
+        ScenarioConfig(**bad)
+
+
+def test_scenario_config_accepts_values_at_the_caps():
+    assert ScenarioConfig(speed_min=0.0, speed_max=1e9, streak_gain=1.0).speed_max == 1e9
+    assert ScenarioConfig(streak_gain=1e308, speed_min=0.0, speed_max=0.0).streak_gain == 1e308
+    cfg = ScenarioConfig(size_max=1e9, width=2 * 10**9, height=2 * 10**9)
+    assert cfg.size_max == 1e9
