@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from itertools import chain, compress, islice
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from ._solver import linear_sum_assignment
 from .core import BBox, Detection, TrajectorySet, as_xywh, iou
 from .motion import (Affine2x3, apply_cmc, boxes_to_measurements, kf_init,
                      kf_predict, kf_update, means_to_boxes)

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import lfa, lineops, synthsim
+from . import assoc, lfa, lineops, metrics, synthsim
 from . import io as sio
 
 EXIT_OK = 0
@@ -37,8 +37,6 @@ def _require_file(path):
 
 
 def cmd_track(args) -> int:
-    from . import assoc  # loads scipy.optimize, which no other subcommand needs
-
     records = sio.parse_mot_file(_require_file(args.det))
     embeddings = sio.parse_embeddings(_require_file(args.emb)) if args.emb else None
     cmc = sio.parse_cmc_file(_require_file(args.cmc)) if args.cmc else None
@@ -61,8 +59,6 @@ _EVAL_COLUMNS = ("MOTA", "IDSW", "MT", "ML", "IDF1", "IDR", "IDP", "HOTA", "DetA
 
 
 def cmd_eval(args) -> int:
-    from . import metrics  # loads scipy.optimize, which no other subcommand needs
-
     gt = sio.records_to_trajectories(sio.parse_mot_file(_require_file(args.gt)))
     pred = sio.records_to_trajectories(sio.parse_mot_file(_require_file(args.res)))
     if gt.num_boxes() == 0:

@@ -256,7 +256,8 @@ def _parse_embedding_lines(path) -> dict[tuple[int, int], np.ndarray]:
             dim = vec.size
         elif vec.size != dim:
             raise ParseError(path, line_no, f"dimension {vec.size} != first dimension {dim}")
-        n = np.linalg.norm(vec)
+        with np.errstate(over="ignore"):
+            n = np.linalg.norm(vec)
         if not _NORM_MIN <= n < math.inf:
             raise ParseError(path, line_no, f"embedding of norm {n} cannot be normalized")
         if (vals[0], vals[1]) in out:

@@ -198,7 +198,8 @@ def lffm(x, n_angles: int | None = None, n_rho: int | None = None,
     """Full line-feature enhancement pass.
 
     Returns (fused map Z = ``gated_fuse(x, A_soft)``, line-intensity map
-    A_soft), both shaped like x.
+    A_soft), both shaped like x. A Radon map, default threshold or
+    back-projection that overflows the float range raises ValueError.
     """
     x = _as_hwc(x)
     h, w, _ = x.shape
@@ -208,9 +209,19 @@ def lffm(x, n_angles: int | None = None, n_rho: int | None = None,
     if tau is not None and not np.all(np.isfinite(tau)):
         raise ValueError(f"tau must be finite, got {tau}")
     y = radon_forward(x, n_angles, n_rho)
+    if not np.isfinite(y).all():
+        raise ValueError("Radon map overflows: a line sum of the input exceeds the float range")
     if tau is None:
-        tau = default_tau(y)
-    raw = radon_backproject(y, tau, h, w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tau = default_tau(y)
+        if not np.isfinite(tau).all():
+            raise ValueError("default threshold overflows: the Radon map's mean or spread "
+                             "exceeds the float range; pass tau")
+    with np.errstate(over="ignore"):
+        raw = radon_backproject(y, tau, h, w)
+    if not np.isfinite(raw).all():
+        raise ValueError("back-projection overflows: a pixel's sum of kept bins "
+                         "exceeds the float range")
     a_soft = soft_normalize(raw)
     z = gated_fuse(x, a_soft)
     return z, a_soft

@@ -4,8 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from ._solver import linear_sum_assignment
 from .core import TrajectorySet, iou
 
 HOTA_ALPHAS = [round(0.05 * k, 2) for k in range(1, 20)]

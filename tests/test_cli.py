@@ -516,9 +516,19 @@ def test_render_bad_later_frame_leaves_no_output(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_only_track_and_eval_load_scipy_optimize(tmp_path):
-    """lineops, synth, lfa-demo and render run without importing the
-    assignment solver, which costs SciPy's import time and memory."""
+def _run_python(*args):
+    """Run a fresh interpreter that imports this checkout's sartrack."""
+    src_dir = os.path.dirname(os.path.dirname(sartrack.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src_dir, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_no_subcommand_loads_scipy_optimize(tmp_path):
+    """Every subcommand, track and eval included, runs without importing
+    scipy.optimize, which costs SciPy's import time and memory; the
+    assignment solver comes from its own extension module."""
     script = f"""
 import sys
 import numpy as np
@@ -536,17 +546,41 @@ for argv in (["lineops", "--in", d + "/in.pgm", "--out", d + "/lo"],
              ["lfa-demo", "--asoft", d + "/a.vsfm", "--proposals", d + "/props.txt",
               "--out", d + "/enh.txt"],
              ["render", "--frames-dir", d + "/scene", "--tracks", d + "/scene/gt.txt",
-              "--out-dir", d + "/vis"]):
+              "--out-dir", d + "/vis"],
+             ["track", "--det", d + "/scene/det.txt", "--emb", d + "/scene/emb.txt",
+              "--cmc", d + "/scene/cmc.txt", "--out", d + "/res.txt"],
+             ["eval", "--gt", d + "/scene/gt.txt", "--res", d + "/res.txt", "--tsv"]):
     assert main(argv) == 0, argv
 print("scipy.optimize" in sys.modules)
 """
-    src_dir = os.path.dirname(os.path.dirname(sartrack.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src_dir, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _run_python("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("case, value, message", [
+    ("embedding", 1e200, "{emb}:1: embedding of norm inf cannot be normalized"),
+    ("lineops", 1e307, "Radon map overflows"),
+    ("lineops --tau 0", 1e305, "back-projection overflows"),
+])
+def test_overflow_is_one_line_data_error(tmp_path, case, value, message):
+    """Values whose sums overflow the float range stop the run with exit 2
+    and one error line; no numpy RuntimeWarning reaches stderr first."""
+    det, emb, big = tmp_path / "det.txt", tmp_path / "emb.txt", tmp_path / "big.vsfm"
+    if case == "embedding":
+        det.write_text("1,-1,10,10,8,8,0.9,0,-1\n")
+        emb.write_text(f"1 0 {value} {value}\n")
+        argv = ["track", "--det", str(det), "--emb", str(emb),
+                "--out", str(tmp_path / "out")]
+    else:
+        write_tensor(np.full((16, 16, 1), value), big)
+        argv = ["lineops", "--in", str(big), "--out", str(tmp_path / "out"),
+                *case.split()[1:]]
+    done = _run_python("-m", "sartrack.cli", *argv)
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"sartrack: error: {message.format(emb=emb)}")
+    assert done.stderr.count("\n") == 1, done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def _tensor_bytes(h, w, c, payload=b""):

@@ -291,6 +291,19 @@ def test_lffm_zero_bins_and_non_finite_tau_rejected():
             lffm(x, tau=tau)
 
 
+@pytest.mark.parametrize("value, tau, message", [
+    (1e307, None, "Radon map overflows"),
+    (1e306, None, "default threshold overflows"),
+    (1e305, 0.0, "back-projection overflows"),
+])
+def test_lffm_overflow_raises_without_numpy_warning(value, tau, message):
+    """A 16x16 map sums up to 29 pixels into one Radon bin, 180 * 256 into
+    the default threshold's mean, and 180 bins into each back-projected pixel.
+    Under the suite's warnings-as-errors filter a numpy warning fails the test."""
+    with pytest.raises(ValueError, match=message):
+        lffm(np.full((16, 16, 1), value), tau=tau)
+
+
 def test_default_bins():
     n_a, n_r = default_bins(16, 16)
     assert n_a == 180
