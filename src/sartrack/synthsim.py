@@ -10,11 +10,12 @@ breaks naive appearance association.
 All randomness flows from numpy's SeedSequence: the scenario seed is split
 into one child stream per concern (target init, per-target motion phases,
 per-frame noise, perturbation), so generation is bitwise reproducible and
-frames could be rendered in parallel.
+each frame is rendered alone, when it is accessed.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from .core import COORD_MAX, BBox, Detection, TrajectorySet
 from .lfa import normalize_velocities
+from .lineops import BIN_TABLE_MAX_BYTES
 
 CLASS_NAMES = ("car", "ship", "airplane")
 
@@ -73,6 +75,10 @@ class ScenarioConfig:
         if min(self.width, self.height) < 2 * self.size_max:
             raise ValueError(f"width and height must be >= 2 * size_max = {2 * self.size_max}, "
                              f"got {self.width}x{self.height}")
+        # Frames are rendered one at a time, so one float64 frame bounds memory.
+        if self.width * self.height * 8 > BIN_TABLE_MAX_BYTES:
+            raise ValueError(f"a {self.width}x{self.height} float64 frame is above the "
+                             f"{BIN_TABLE_MAX_BYTES}-byte limit")
         if not 0.0 <= self.p_toggle <= 1.0:
             raise ValueError(f"p_toggle must be in [0,1], got {self.p_toggle}")
 
@@ -100,7 +106,7 @@ class PerturbConfig:
 
 @dataclass(frozen=True, slots=True)
 class Scene:
-    frames: list[np.ndarray]
+    frames: Sequence[np.ndarray]  # (H, W, 1) float64 maps
     gt: TrajectorySet
     embeddings: dict[tuple[int, int], np.ndarray]  # (track id, frame) -> unit vec
     velocities: dict[tuple[int, int], float]       # (track id, frame) -> normalized v
@@ -135,18 +141,49 @@ def _draw_segment(img: np.ndarray, x0: float, y0: float, x1: float, y1: float, v
     img[ys[keep], xs[keep]] = value
 
 
+class Frames(Sequence):
+    """A scene's frames as a read-only sequence of (H, W, 1) float64 maps.
+
+    Each access renders a fresh array from the per-target centre and speed
+    arrays, the sizes, the occluder mask and that frame's own noise seed, so
+    only the frames a caller keeps stay in memory."""
+
+    def __init__(self, cfg: ScenarioConfig, cx: np.ndarray, cy: np.ndarray,
+                 speed: np.ndarray, sizes: list[tuple[float, float]], occluded: np.ndarray,
+                 noise: list[np.random.SeedSequence]):
+        self._cfg, self._cx, self._cy, self._speed = cfg, cx, cy, speed
+        self._sizes, self._occluded, self._noise = sizes, occluded, noise
+
+    def __len__(self) -> int:
+        return len(self._noise)
+
+    def __getitem__(self, f: int) -> np.ndarray:
+        f, cfg = range(len(self))[f], self._cfg  # IndexError out of range
+        img = np.random.default_rng(self._noise[f]).uniform(
+            0.0, cfg.noise_amplitude, (cfg.height, cfg.width)) if cfg.noise_amplitude > 0 \
+            else np.zeros((cfg.height, cfg.width))
+        img[self._occluded] = SHADOW_VALUE
+        for x, y, v, (w, h) in zip(self._cx[:, f].tolist(), self._cy[:, f].tolist(),
+                                   self._speed[:, f].tolist(), self._sizes):
+            _draw_rect(img, x, y, w, h, SHADOW_VALUE)
+            if v > 0 and cfg.streak_gain > 0:
+                off = cfg.streak_gain * v
+                _draw_segment(img, x + off - w / 2, y, x + off + w / 2, y, STREAK_VALUE)
+        return img[:, :, None]
+
+
 def generate_scene(cfg: ScenarioConfig) -> Scene:
     """Deterministic scene: frames, ground truth, embeddings, velocities.
 
-    Three passes over the same draws: simulate fills (n_moving, frames)
+    Two passes over the same draws: simulate fills (n_moving, frames)
     arrays of centre x, centre y and current speed one target at a time,
-    render draws each frame from them, and label builds the rest."""
+    and label builds the rest from them. `Frames` renders each frame from
+    the same arrays when it is accessed."""
     ss = np.random.SeedSequence(cfg.seed)
     ss_targets, ss_motion, ss_noise, ss_occ = ss.spawn(4)
     rng_t = np.random.default_rng(ss_targets)
     rng_occ = np.random.default_rng(ss_occ)
     motion_rngs = [np.random.default_rng(s) for s in ss_motion.spawn(cfg.n_moving)]
-    noise_rngs = [np.random.default_rng(s) for s in ss_noise.spawn(cfg.frames)]
 
     n, frames = cfg.n_moving, cfg.frames
     cx, cy, speed_now = np.zeros((3, n, frames))
@@ -175,18 +212,6 @@ def generate_scene(cfg: ScenarioConfig) -> Scene:
             [0, 0, cfg.size_max, 0], [cfg.width, cfg.height, 3 * cfg.size_max, math.pi]).tolist()
         _draw_segment(occluded, x0, y0, x0 + length * math.cos(ang),
                       y0 + length * math.sin(ang), True)
-    frames_out: list[np.ndarray] = []
-    for f, (xs, ys, vs) in enumerate(zip(cx.T.tolist(), cy.T.tolist(), speed_now.T.tolist())):
-        img = noise_rngs[f].uniform(0.0, cfg.noise_amplitude,
-                                    (cfg.height, cfg.width)) if cfg.noise_amplitude > 0 \
-            else np.zeros((cfg.height, cfg.width))
-        img[occluded] = SHADOW_VALUE
-        for x, y, v, (w, h) in zip(xs, ys, vs, sizes):
-            _draw_rect(img, x, y, w, h, SHADOW_VALUE)
-            if v > 0 and cfg.streak_gain > 0:
-                off = cfg.streak_gain * v
-                _draw_segment(img, x + off - w / 2, y, x + off + w / 2, y, STREAK_VALUE)
-        frames_out.append(img[:, :, None])
 
     gt = TrajectorySet.build(
         (i + 1, [(f, BBox(x - w / 2, y - h / 2, w, h)) for f, (x, y) in enumerate(zip(xs, ys), 1)])
@@ -202,6 +227,7 @@ def generate_scene(cfg: ScenarioConfig) -> Scene:
     flipped = speed_now > cfg.appearance_flip_speed
     look = (np.arange(n)[:, None] + flipped) % len(looks)
     embeddings = dict(zip(keys, map(looks.__getitem__, look.ravel().tolist())))
+    frames_out = Frames(cfg, cx, cy, speed_now, sizes, occluded, ss_noise.spawn(cfg.frames))
     return Scene(frames_out, gt, embeddings, velocities, (cfg.width, cfg.height), classes)
 
 

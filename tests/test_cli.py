@@ -286,6 +286,16 @@ def test_synth_huge_motion_is_data_error(capsys, tmp_path, line, field):
     assert not out.exists()
 
 
+def test_synth_huge_canvas_is_data_error(capsys, tmp_path):
+    cfg = tmp_path / "scenario.txt"
+    cfg.write_text("frames = 2\nwidth = 1000000000\nheight = 1000000000\n")
+    out = tmp_path / "scene"
+    code, _, err = run(capsys, "synth", "--config", str(cfg), "--out-dir", str(out))
+    assert code == 2
+    assert str(cfg) in err and "float64 frame is above the 1073741824-byte limit" in err
+    assert not out.exists()
+
+
 def test_synth_clutter_without_targets(capsys, tmp_path):
     """Clutter falls on every frame, also in a scene with no targets. At 20
     boxes a frame, a frame without any has odds of e**-20."""
