@@ -6,7 +6,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import compress
 
 import numpy as np
 
@@ -115,8 +115,8 @@ class Tracker:
     `has_emb` is set, D fixed by the first embedding seen, and `mean` (N, 8)
     and `cov` (N, 8, 8) are the Kalman state. A frame updates and ages the
     rows with masked array expressions. An append-only log keeps one
-    (frame, ids, boxes) entry per frame for the matched and spawned rows;
-    `trajectories()` reads it for the ids that ever confirmed.
+    (frame, ids, boxes) entry per frame for the matched and spawned rows,
+    so a track's logged boxes number its hits; `trajectories()` reads it.
     """
 
     # Each column's dtype and the shape of one row.
@@ -129,8 +129,7 @@ class Tracker:
         self.cfg = cfg or TrackerConfig()
         for name, (dtype, shape) in self._COLUMNS.items():
             setattr(self, name, np.zeros((0, *shape), dtype=dtype))
-        # (frame, ids, boxes) log entries, and the ids removed while LOST.
-        self._log, self._retired = [], []
+        self._log = []  # (frame, ids, boxes) entries
         self._next_id = 1
         self._speed_max = 1e-9
 
@@ -267,7 +266,6 @@ class Tracker:
         idle = ~matched
         self.age[idle] += 1
         removed = idle & ((state == _TENT) | ((state == _LOST) & (self.age > cfg.max_age)))
-        self._retired += self.ids[removed & (state == _LOST)].tolist()
         state[idle & (state == _CONF)] = _LOST
         if removed.any():
             for name in self._COLUMNS:
@@ -276,20 +274,16 @@ class Tracker:
 
     def trajectories(self) -> TrajectorySet:
         """All boxes of tracks that ever confirmed, earliest frames included,
-        in id order."""
-        ids = np.concatenate([np.zeros(0, dtype=np.int64), *(i for _, i, _ in self._log)])
-        frames = np.repeat([f for f, _, _ in self._log], [len(i) for _, i, _ in self._log])
-        boxes = list(chain.from_iterable(b for _, _, b in self._log))
-        order = np.argsort(ids, kind="stable")
-        order = order[np.isin(ids[order], self._retired + self.ids[self.state != _TENT].tolist())]
+        in id order. A track confirms when its hits, which are its logged
+        boxes, reach `n_init`, so the count alone tells which tracks did."""
+        seqs: dict[int, list] = {}
+        for frame, ids, boxes in self._log:
+            for tid, box in zip(ids.tolist(), boxes):
+                seqs.setdefault(tid, []).append((frame, box))
         # `step` takes frames in rising order, so each id's frames rise and
         # the TrajectorySet needs no check of its own.
-        tids, counts = np.unique(ids[order], return_counts=True)
-        # Each track's tuple drains its count of pairs from one shared
-        # iterator, so every (frame, box) pair is made once.
-        pairs = zip(frames[order].tolist(), map(boxes.__getitem__, order))
-        return TrajectorySet(tuple((tid, tuple(islice(pairs, n)))
-                                   for tid, n in zip(tids.tolist(), counts.tolist())))
+        return TrajectorySet(tuple((tid, tuple(seqs[tid])) for tid in sorted(seqs)
+                                   if len(seqs[tid]) >= self.cfg.n_init))
 
 
 def track_sequence(frame_detections: dict[int, list[Detection]],

@@ -9,8 +9,6 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from . import assoc, lfa, lineops, metrics, synthsim
 from . import io as sio
 
@@ -91,33 +89,7 @@ def cmd_synth(args) -> int:
                         f"the {scn.width}x{scn.height} canvas")
     scene = synthsim.generate_scene(scn)
     dets = synthsim.perturb_detections(scene, pert)
-    os.makedirs(args.out_dir, exist_ok=True)
-    for i, frame in enumerate(scene.frames, start=1):
-        sio.write_pgm(sio.to_uint8(frame[:, :, 0]), os.path.join(args.out_dir, f"{i:06d}.pgm"))
-    gt_records = []
-    for f, boxes in scene.gt.boxes_by_frame().items():
-        for tid, b in boxes:
-            gt_records.append(sio.MotRecord(
-                f, tid, b.x, b.y, b.w, b.h, 1, scene.classes[tid], 1,
-                scene.velocities[(tid, f)]).render())
-    with open(os.path.join(args.out_dir, "gt.txt"), "w") as fh:
-        fh.write("\n".join(gt_records) + ("\n" if gt_records else ""))
-    det_lines = []
-    emb: dict[tuple[int, int], np.ndarray] = {}
-    for f in sorted(dets):
-        for idx, d in enumerate(dets[f]):
-            b = d.bbox
-            det_lines.append(sio.MotRecord(
-                f, -1, b.x, b.y, b.w, b.h, d.score, d.class_id, -1,
-                d.motion_awareness).render())
-            if d.embedding is not None:
-                emb[(f, idx)] = d.embedding
-    with open(os.path.join(args.out_dir, "det.txt"), "w") as fh:
-        fh.write("\n".join(det_lines) + ("\n" if det_lines else ""))
-    sio.write_embeddings(emb, os.path.join(args.out_dir, "emb.txt"))
-    with open(os.path.join(args.out_dir, "cmc.txt"), "w") as fh:
-        for f in range(1, scn.frames + 1):
-            fh.write(f"{f} 1 0 0 0 1 0\n")
+    sio.write_scene(scene, dets, args.out_dir)
     print(f"wrote scenario ({scn.frames} frames, {scn.n_moving} targets) to {args.out_dir}")
     return EXIT_OK
 

@@ -1,6 +1,7 @@
 """File formats: MOTChallenge CSV (with an optional motion-awareness column),
 embedding and camera-motion sidecars, proposal lists, flat key=value configs,
-raw tensor files, and PGM/PPM images.
+raw tensor files, and PGM/PPM images. `write_scene` lays a synthetic scene
+out in these formats.
 
 Every text input is ASCII. MOT, embedding and camera-motion files that hold
 only digits, ``+-.eE``, their delimiter, spaces and LF or CRLF line ends are
@@ -273,6 +274,25 @@ def write_embeddings(emb: dict[tuple[int, int], np.ndarray], path) -> None:
         fh.write(text)
 
 
+def write_scene(scene, dets: dict[int, list[Detection]], out_dir) -> None:
+    """A `synthsim.Scene` and its detections in ``out_dir``: ``000001.pgm`` per
+    frame, MOT ``gt.txt`` and ``det.txt``, ``emb.txt`` and identity ``cmc.txt``."""
+    os.makedirs(out_dir, exist_ok=True)
+    for i, frame in enumerate(scene.frames, start=1):
+        write_pgm(to_uint8(frame[:, :, 0]), os.path.join(out_dir, f"{i:06d}.pgm"))
+    gt = [MotRecord(f, tid, b.x, b.y, b.w, b.h, 1, scene.classes[tid], 1,
+                    scene.velocities[(tid, f)]).render()
+          for f, boxes in scene.gt.boxes_by_frame().items() for tid, b in boxes]
+    det = [MotRecord(f, -1, d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h, d.score, d.class_id, -1,
+                     d.motion_awareness).render() for f in sorted(dets) for d in dets[f]]
+    cmc = [f"{f} 1 0 0 0 1 0" for f in range(1, len(scene.frames) + 1)]
+    for name, lines in (("gt.txt", gt), ("det.txt", det), ("cmc.txt", cmc)):
+        with open(os.path.join(out_dir, name), "w", encoding="ascii") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+    write_embeddings({(f, i): d.embedding for f in dets for i, d in enumerate(dets[f])
+                      if d.embedding is not None}, os.path.join(out_dir, "emb.txt"))
+
+
 def parse_cmc_file(path) -> dict[int, Affine2x3]:
     """Lines of `frame r11 r12 tx r21 r22 ty`, one per frame; missing frames mean identity."""
     table = _read_table(path, None)
@@ -424,18 +444,14 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(img: np.ndarray, path) -> None:
+    """Binary 8-bit image: an (H, W) array as PGM (P5), an (H, W, 3) one as
+    PPM (P6)."""
     img = np.asarray(img, dtype=np.uint8)
-    h, w = img.shape
+    h, w, *c = img.shape
+    if c not in ([], [3]):
+        raise ValueError(f"expected an (H, W) or (H, W, 3) image, got shape {img.shape}")
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
-
-
-def write_ppm(img: np.ndarray, path) -> None:
-    img = np.asarray(img, dtype=np.uint8)
-    h, w, _ = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(f"{'P6' if c else 'P5'}\n{w} {h}\n255\n".encode("ascii"))
         fh.write(img.tobytes())
 
 
@@ -482,4 +498,4 @@ def render_frame(canvas: np.ndarray, boxes: list[tuple[int, BBox]], path) -> Non
         rgb[y1, x0:x1 + 1] = color
         rgb[y0:y1 + 1, x0] = color
         rgb[y0:y1 + 1, x1] = color
-    write_ppm(rgb, path)
+    write_pgm(rgb, path)

@@ -1,4 +1,4 @@
-"""Velocity-adaptive proposal enhancement: displacement targets, adaptive
+"""Velocity-adaptive proposal enhancement: velocity normalization, adaptive
 matching radius, and neighborhood pooling of the line-intensity map.
 """
 from __future__ import annotations
@@ -9,19 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BBox
-from .motion import Affine2x3
-
-
-def velocity_target(center_t, center_prev, cmc: Affine2x3 | None,
-                    delta_f: float) -> float:
-    """Camera-compensated center displacement per frame (pixels/frame)."""
-    if delta_f <= 0:
-        raise ValueError(f"delta_f must be positive, got {delta_f}")
-    prev = np.asarray(center_prev, dtype=float)
-    if cmc is not None:
-        prev = cmc.apply(prev)
-    cur = np.asarray(center_t, dtype=float)
-    return float(np.linalg.norm(cur - prev)) / delta_f
 
 
 def normalize_velocities(v) -> np.ndarray:

@@ -41,9 +41,6 @@ class Affine2x3:
     def t(self) -> np.ndarray:
         return self.m[:, 2]
 
-    def apply(self, point) -> np.ndarray:
-        return self.rot @ np.asarray(point, dtype=float) + self.t
-
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.m, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
 

@@ -30,6 +30,11 @@ CLASS_NAMES = ("car", "ship", "airplane")
 SHADOW_VALUE = -1.0
 STREAK_VALUE = 5.0
 
+# Memory budget per target-frame or clutter box, and per value of its embedding
+# (max(2, n_moving) wide) for a target and for clutter: `synth`'s tracemalloc
+# peaks over generate, perturb and io.write_scene were about 1.1 KB, 13 B, 50 B.
+CELL_BYTES, TARGET_VALUE_BYTES, CLUTTER_VALUE_BYTES = 1536, 16, 64
+
 
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
@@ -55,6 +60,10 @@ class ScenarioConfig:
             raise ValueError("frames must be >= 1")
         if self.n_moving < 0 or self.n_static_occluders < 0:
             raise ValueError("counts must be >= 0")
+        cells = (self.n_moving + 1) * self.frames
+        if cells * (CELL_BYTES + TARGET_VALUE_BYTES * max(2, self.n_moving)) > BIN_TABLE_MAX_BYTES:
+            raise ValueError(f"(n_moving + 1) * frames = {cells} target-frames would hold "
+                             f"more than {BIN_TABLE_MAX_BYTES} bytes")
         for name in ("speed_min", "speed_max", "size_min", "size_max", "streak_gain",
                      "noise_amplitude", "appearance_flip_speed", "p_toggle"):
             if math.isinf(getattr(self, name)):  # NaN fails the checks below
@@ -242,6 +251,10 @@ def perturb_detections(scene: Scene, cfg: PerturbConfig) -> dict[int, list[Detec
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     width, height = scene.canvas
     dim = len(next(iter(scene.embeddings.values()))) if scene.embeddings else 4
+    boxes = cfg.lambda_fp * len(scene.frames)
+    if boxes * (CELL_BYTES + CLUTTER_VALUE_BYTES * dim) > BIN_TABLE_MAX_BYTES:
+        raise ValueError(f"lambda_fp * frames = {boxes:g} clutter boxes would hold more "
+                         f"than {BIN_TABLE_MAX_BYTES} bytes")
     out: dict[int, list[Detection]] = {}
     by_frame = scene.gt.boxes_by_frame()
     for f in range(1, len(scene.frames) + 1):

@@ -8,12 +8,16 @@ library.
 
 At the end, the writers as they were before they were written in bulk:
 `_fmt`, `MotRecord.render` (as a function of the record), `write_mot_file`
-(calling that function), `write_embeddings` and `to_uint8`.
+(calling that function), `write_embeddings` and `to_uint8`; then `write_pgm`
+as it was before it also wrote PPM, and `write_scene`: the synth command's
+file writing as it was when the command did it itself, calling the frozen
+writers here and counting frames as `len(scene.frames)`.
 
 Test-only; do not change it to follow the library.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -222,3 +226,41 @@ def to_uint8(x: np.ndarray) -> np.ndarray:
     if hi <= lo:
         return np.zeros(x.shape, dtype=np.uint8)
     return np.round((x - lo) / (hi - lo) * 255).astype(np.uint8)
+
+
+def write_pgm(img: np.ndarray, path) -> None:
+    img = np.asarray(img, dtype=np.uint8)
+    h, w = img.shape
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(img.tobytes())
+
+
+def write_scene(scene, dets, out_dir) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    for i, frame in enumerate(scene.frames, start=1):
+        write_pgm(to_uint8(frame[:, :, 0]), os.path.join(out_dir, f"{i:06d}.pgm"))
+    gt_records = []
+    for f, boxes in scene.gt.boxes_by_frame().items():
+        for tid, b in boxes:
+            gt_records.append(render(MotRecord(
+                f, tid, b.x, b.y, b.w, b.h, 1, scene.classes[tid], 1,
+                scene.velocities[(tid, f)])))
+    with open(os.path.join(out_dir, "gt.txt"), "w") as fh:
+        fh.write("\n".join(gt_records) + ("\n" if gt_records else ""))
+    det_lines = []
+    emb: dict[tuple[int, int], np.ndarray] = {}
+    for f in sorted(dets):
+        for idx, d in enumerate(dets[f]):
+            b = d.bbox
+            det_lines.append(render(MotRecord(
+                f, -1, b.x, b.y, b.w, b.h, d.score, d.class_id, -1,
+                d.motion_awareness)))
+            if d.embedding is not None:
+                emb[(f, idx)] = d.embedding
+    with open(os.path.join(out_dir, "det.txt"), "w") as fh:
+        fh.write("\n".join(det_lines) + ("\n" if det_lines else ""))
+    write_embeddings(emb, os.path.join(out_dir, "emb.txt"))
+    with open(os.path.join(out_dir, "cmc.txt"), "w") as fh:
+        for f in range(1, len(scene.frames) + 1):
+            fh.write(f"{f} 1 0 0 0 1 0\n")

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import tracker_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -254,6 +255,30 @@ def test_unconfirmed_tracks_leave_the_track_list():
         ids.append(tracker.tracks[-1].id)
     assert ids == list(range(1, 2001))
     assert len(tracker.trajectories()) == 0
+
+
+@pytest.mark.parametrize("n_init", [1, 2, 3])
+def test_trajectories_keep_exactly_the_tracks_that_ever_confirmed(n_init):
+    """Track 1 confirms, goes LOST and is removed past max_age: it is kept
+    with its tentative frames. Track 2 is seen once and, unless n_init is 1,
+    removed while tentative: dropped. Track 3 is seen n_init - 1 times at the
+    end, so it is still tentative: dropped. The frozen reference agrees."""
+    # Each frame's box corners; the three tracks lie far apart.
+    seq = {1: [10, 100], 2: [10], 3: [10], 4: [], 5: [], 6: []}
+    seq.update({f: [200] for f in range(7, 6 + n_init)})
+    cfg = TrackerConfig(n_init=n_init, max_age=1)
+    new, old = Tracker(cfg), ref.Tracker(cfg)
+    lifecycles = []
+    for f, corners in seq.items():
+        dets = [det(f, x, x, 8, 8) for x in corners]
+        assert new.step(f, dets) == old.step(f, dets)
+        lifecycles.append({t.id: t.lifecycle for t in new.tracks}.get(1))
+    assert lifecycles[2:5] == [Lifecycle.CONFIRMED, Lifecycle.LOST, None]
+    assert [(t.id, t.lifecycle) for t in new.tracks] == (
+        [] if n_init == 1 else [(3, Lifecycle.TENTATIVE)])
+    want = [(1, [1, 2, 3])] + ([(2, [1])] if n_init == 1 else [])
+    assert [(tid, [f for f, _ in boxes]) for tid, boxes in new.trajectories().tracks] == want
+    assert new.trajectories() == old.trajectories()
 
 
 def test_step_rejects_a_frame_that_does_not_follow():

@@ -296,6 +296,23 @@ def test_synth_huge_canvas_is_data_error(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,field", [
+    ("frames = 1000000000\n", "(n_moving + 1) * frames = 6000000000"),
+    ("n_moving = 1000000000\nframes = 2\n", "(n_moving + 1) * frames = 2000000002"),
+    ("lambda_fp = 1000000000\n", "lambda_fp * frames = 5e+10"),
+], ids=["frames", "n_moving", "lambda_fp"])
+def test_synth_beyond_the_memory_budget_is_data_error(capsys, tmp_path, text, field):
+    """Target-frames and expected clutter boxes are bounded by the 1 GiB
+    budget, checked before either is drawn; nothing is written."""
+    cfg = tmp_path / "scenario.txt"
+    cfg.write_text(text)
+    out = tmp_path / "scene"
+    code, _, err = run(capsys, "synth", "--config", str(cfg), "--out-dir", str(out))
+    assert code == 2
+    assert f"{field} " in err and "would hold more than 1073741824 bytes" in err
+    assert not out.exists()
+
+
 def test_synth_clutter_without_targets(capsys, tmp_path):
     """Clutter falls on every frame, also in a scene with no targets. At 20
     boxes a frame, a frame without any has odds of e**-20."""

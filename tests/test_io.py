@@ -173,7 +173,7 @@ def test_parse_cmc(tmp_path):
     p = tmp_path / "cmc.txt"
     p.write_text("1 1 0 5 0 1 -2\n")
     cmc = parse_cmc_file(p)
-    np.testing.assert_allclose(cmc[1].apply((0, 0)), [5, -2])
+    np.testing.assert_allclose(cmc[1].t, [5, -2])
     assert 2 not in cmc
     for text in ("1 1 0 nan 0 1 0\n", "1 1 0 1e999 0 1 0\n", "1.5 1 0 0 0 1 0\n"):
         p.write_text(text)
@@ -253,6 +253,16 @@ def test_pgm_round_trip(tmp_path):
     p = tmp_path / "i.pgm"
     write_pgm(img, p)
     np.testing.assert_array_equal(read_pgm(p), img)
+
+
+def test_write_pgm_writes_ppm_for_rgb_and_rejects_other_shapes(tmp_path):
+    rgb = np.random.default_rng(4).integers(0, 256, (3, 5, 3), dtype=np.uint8)
+    p = tmp_path / "i.ppm"
+    write_pgm(rgb, p)
+    assert p.read_bytes() == b"P6\n5 3\n255\n" + rgb.tobytes()
+    for shape in ((3, 5, 4), (3, 5, 1), (15,)):
+        with pytest.raises(ValueError):
+            write_pgm(np.zeros(shape, dtype=np.uint8), tmp_path / "bad.pgm")
 
 
 def test_pgm_header_comments_and_whitespace(tmp_path):

@@ -1,7 +1,8 @@
 """The bulk read of MOT, embedding and camera-motion files against the
 per-line parser it falls back to: each file gives equal results (float bits,
 int types and record sources included) or the same ParseError text through
-both. Then the writers against their frozen copies in io_reference.py."""
+both. Then the writers, `io.write_scene` included, against their frozen
+copies in io_reference.py."""
 import dataclasses
 import os
 import tempfile
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sartrack import io as sio
+from sartrack import synthsim
 from sartrack.core import BBox, TrajectorySet
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -308,3 +310,23 @@ def test_to_uint8_matches_frozen_copy(x):
 def test_to_uint8_matches_frozen_copy_on_any_values(values):
     x = np.array(values)
     assert sio.to_uint8(x).tobytes() == ref.to_uint8(x).tobytes()
+
+
+@pytest.mark.parametrize("scn,pert,empty", [
+    ({"n_moving": 0}, {"seed": 1, "lambda_fp": 2.0}, {"gt.txt"}),
+    ({"n_moving": 3}, {"lambda_fp": 0.0, "p_fn": 1.0}, {"det.txt", "emb.txt"}),
+    ({"seed": 5, "n_moving": 3}, {"seed": 6, "jitter_sigma": 0.2, "p_fn": 0.2, "lambda_fp": 1.5},
+     set()),
+], ids=["no-targets", "no-detections", "targets-and-clutter"])
+def test_write_scene_matches_frozen_copy(tmp_path, scn, pert, empty):
+    """io.write_scene writes every file byte for byte as the synth command
+    did itself: a scene without targets gives an empty gt.txt, one without
+    detections empty det.txt and emb.txt."""
+    scene = synthsim.generate_scene(synthsim.ScenarioConfig(frames=4, width=64, height=64,
+                                                            **scn))
+    dets = synthsim.perturb_detections(scene, synthsim.PerturbConfig(**pert))
+    sio.write_scene(scene, dets, tmp_path / "new")
+    ref.write_scene(scene, dets, tmp_path / "old")
+    new, old = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("new", "old"))
+    assert new == old and len(new) == 4 + 4
+    assert {name for name, data in new.items() if not data} == empty

@@ -3,26 +3,7 @@ import pytest
 
 from sartrack.core import BBox
 from sartrack.lfa import (LfaConfig, Proposal, adaptive_radius, enhance_proposal,
-                          neighborhood_pool, normalize_velocities, velocity_target)
-from sartrack.motion import Affine2x3
-
-
-def test_velocity_target():
-    assert velocity_target((5, 5), (5, 5), None, 1) == 0.0
-    assert velocity_target((13, 14), (10, 10), Affine2x3.identity(), 1) == pytest.approx(5.0)
-    shift = Affine2x3(np.array([[1, 0, 3], [0, 1, 4]], dtype=float))
-    assert velocity_target((13, 14), (10, 10), shift, 1) == 0.0
-    with pytest.raises(ValueError):
-        velocity_target((0, 0), (0, 0), None, 0)
-
-
-def test_velocity_target_translation_invariant():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a, b, t = rng.uniform(-20, 20, (3, 2))
-        v1 = velocity_target(a, b, None, 2)
-        v2 = velocity_target(a + t, b + t, None, 2)
-        assert v1 == pytest.approx(v2)
+                          neighborhood_pool, normalize_velocities)
 
 
 def test_normalize_velocities():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from collections.abc import Sequence
 
@@ -301,3 +302,29 @@ def test_scenario_config_bounds_the_frame_size(width, height):
         ScenarioConfig(width=width, height=height)
     assert ScenarioConfig(width=16384, height=8192).height == 8192
     assert ScenarioConfig(width=11585, height=11585).width == 11585
+
+
+@pytest.mark.parametrize("frames,n_moving,at_edge", [
+    (10**9, 5, False), (2, 10**9, False), (684_785, 0, True), (62, 1000, True)])
+def test_scenario_config_bounds_the_target_frames(frames, n_moving, at_edge):
+    """A target-frame holds up to CELL_BYTES plus TARGET_VALUE_BYTES per value
+    of its max(2, n_moving)-wide look (a frame without targets counts as one),
+    so (n_moving + 1) * frames is capped at the 1 GiB budget; a config past it
+    fails before any seed is spawned or array allocated. At the edge, the
+    config one frame shorter passes; it is only constructed, which allocates
+    nothing."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"(n_moving + 1) * frames = {(n_moving + 1) * frames} target-frames")):
+        ScenarioConfig(frames=frames, n_moving=n_moving)
+    if at_edge:
+        assert ScenarioConfig(frames=frames - 1, n_moving=n_moving).frames == frames - 1
+
+
+@pytest.mark.parametrize("lambda_fp", [1e9, 322_639.0])
+def test_perturb_bounds_the_expected_clutter(lambda_fp):
+    """lambda_fp * frames expected clutter boxes, each CELL_BYTES plus
+    CLUTTER_VALUE_BYTES per embedding value, must fit the 1 GiB budget: on a
+    2-frame scene with 2-wide looks, 322,639 boxes a frame do not."""
+    scene = generate_scene(ScenarioConfig(seed=4, frames=2, n_moving=1))
+    with pytest.raises(ValueError, match=re.escape(f"lambda_fp * frames = {2 * lambda_fp:g}")):
+        perturb_detections(scene, PerturbConfig(lambda_fp=lambda_fp))
