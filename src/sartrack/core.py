@@ -82,8 +82,8 @@ class Detection:
             raise ValueError(f"frame must be >= 1, got {self.frame}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0,1], got {self.score}")
-        if self.class_id < 0:
-            raise ValueError(f"class_id must be >= 0, got {self.class_id}")
+        if not 0 <= self.class_id < 2**63:  # the tracker packs classes as int64
+            raise ValueError(f"class_id must be in [0, 2**63 - 1], got {self.class_id}")
         if self.motion_awareness is not None and not 0.0 <= self.motion_awareness <= 1.0:
             raise ValueError(f"motion_awareness must be in [0,1], got {self.motion_awareness}")
         if self.embedding is not None:

@@ -3,12 +3,12 @@ embedding and camera-motion sidecars, proposal lists, flat key=value configs,
 raw tensor files, and PGM/PPM images. `write_scene` lays a synthetic scene
 out in these formats.
 
-Every text input is ASCII. MOT, embedding and camera-motion files that hold
-only digits, ``+-.eE``, their delimiter, spaces and LF or CRLF line ends are
-read in bulk: one ``np.loadtxt``, then each check on the whole table. Every
-other text file, and any that fails a check there, goes through
-``read_lines`` and ``parse_numbers`` line by line, so a malformed line fails
-as ``path:line: message``.
+Every text input is ASCII. MOT, embedding, camera-motion and proposal files
+become one table each, and each format's checks run once, as masks over it.
+A plain file (only digits, ``+-.eE``, its delimiter, spaces and LF or CRLF
+line ends) is read with one ``np.loadtxt``; any other, ``read_lines`` and
+``parse_numbers`` tokenize line by line. The first bad line fails as
+``path:line: message``.
 """
 from __future__ import annotations
 
@@ -69,9 +69,6 @@ class MotRecord:
             parts.append(_fmt(self.motion_awareness))
         return ",".join(parts)
 
-    def bbox(self) -> BBox:
-        return BBox(self.x, self.y, self.w, self.h)
-
 
 def read_lines(path):
     """Yield (line number, stripped text) for each nonblank line of an ASCII
@@ -104,10 +101,7 @@ def parse_numbers(path, line_no, fields, int_cols) -> list:
     return vals
 
 
-_MOT_INT_COLS = (0, 1, 7)
-
-
-def _read_table(path, delimiter: str | None) -> tuple[np.ndarray, np.ndarray] | None:
+def _read_table(path, delimiter: str | None) -> tuple[list[int], np.ndarray] | None:
     """(line numbers, float rows) of the nonblank lines of a plain numeric
     file, every value finite; None for any other file. A plain file holds
     only digits, ``+-.eE``, the delimiter (None: runs of spaces), spaces and
@@ -129,7 +123,7 @@ def _read_table(path, delimiter: str | None) -> tuple[np.ndarray, np.ndarray] | 
         return None
     if len(rows) != len(line_nos) or not np.isfinite(rows).all():
         return None
-    return np.array(line_nos), rows
+    return line_nos, rows
 
 
 def _integral(cols: np.ndarray) -> bool:
@@ -138,53 +132,82 @@ def _integral(cols: np.ndarray) -> bool:
     return bool(np.all((cols == np.trunc(cols)) & (np.abs(cols) < 2.0**53)))
 
 
+def _table(path, delimiter: str | None, int_cols, width_error, width: int) -> tuple:
+    """A numeric text file as (line numbers, float rows padded with NaN to at
+    least ``width`` columns, one list of exact ints per column in
+    ``int_cols``, the first tokenizing ParseError or None). ``width_error(n)``
+    words what is wrong with a line of n fields, or is None.
+
+    A plain file is read in bulk if its width passes and its int columns are
+    ``_integral``. Any other goes through ``read_lines`` and ``parse_numbers``
+    up to its first line that does not split into numbers; that error is
+    kept for ``_check``, so a bad value on an earlier line is named first."""
+    table = _read_table(path, delimiter)
+    if table and width_error(table[1].shape[1]) is None and _integral(table[1][:, int_cols]):
+        line_nos, rows = table
+        ints, err = rows[:, int_cols].astype(np.int64).T.tolist(), None
+        rows = np.pad(rows, ((0, 0), (0, max(width - rows.shape[1], 0))), constant_values=np.nan)
+    else:
+        line_nos, vals, err = [], [], None
+        try:
+            for line_no, line in read_lines(path):
+                fields = line.split(delimiter)
+                if msg := width_error(len(fields)):
+                    raise ParseError(path, line_no, msg)
+                vals.append(parse_numbers(path, line_no, fields, int_cols))
+                line_nos.append(line_no)
+        except ParseError as e:
+            err = e
+        n = max([width, *map(len, vals)])
+        rows = np.array([v + [math.nan] * (n - len(v)) for v in vals], dtype=float).reshape(-1, n)
+        ints = [[v[i] for v in vals] for i in int_cols]
+    return line_nos, rows, ints, err
+
+
+def _check(path, line_nos, err, checks) -> None:
+    """Raise the first failing check of the first row that fails one, at its
+    line, else ``err``. ``checks`` are (bad-row mask, row index -> message)
+    pairs in line order. Every row precedes ``err``'s line and is tokenized
+    before it is checked, so this is the error a line reader meets first."""
+    fails = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
+    if fails:
+        i, k = min(fails)
+        raise ParseError(path, line_nos[i], checks[k][1](i))
+    if err is not None:
+        raise err
+
+
+def _repeats(keys: list) -> np.ndarray:
+    """Whether each key equals an earlier one."""
+    first: dict = {}
+    return np.array([first.setdefault(k, i) != i for i, k in enumerate(keys)], dtype=bool)
+
+
 def parse_mot_file(path) -> list[MotRecord]:
     """Records sorted by frame (stable); 9 or 10 comma-separated columns."""
-    table = _read_table(path, ",")
-    if table is None:
-        return _parse_mot_lines(path)
-    line_nos, rows = table
-    ncols = rows.shape[1]
-    if not (ncols in (9, 10) and _integral(rows[:, _MOT_INT_COLS])
-            and (rows[:, 0] >= 1).all() and (rows[:, 4:6] > 0).all()
-            and (np.abs(rows[:, 2:6]) <= COORD_MAX).all()
-            and (ncols == 9 or ((rows[:, 9] >= 0.0) & (rows[:, 9] <= 1.0)).all())):
-        return _parse_mot_lines(path)
-    order = np.argsort(rows[:, 0], kind="stable")
-    rows = rows[order]
-    frame, tid, cls = rows[:, _MOT_INT_COLS].astype(np.int64).T.tolist()
-    x, y, w, h, conf = rows[:, 2:7].T.tolist()
-    ma = rows[:, 9].tolist() if ncols == 10 else [None] * len(rows)
-    sources = [(path, n) for n in line_nos[order].tolist()]
-    return list(map(MotRecord, frame, tid, x, y, w, h, conf, cls, rows[:, 8].tolist(), ma,
-                    sources))
-
-
-def _parse_mot_lines(path) -> list[MotRecord]:
-    """``parse_mot_file`` line by line, for the files the bulk read declines;
-    the source of its ``path:line: message`` errors."""
-    records = []
-    for line_no, line in read_lines(path):
-        fields = line.split(",")
-        if len(fields) not in (9, 10):
-            raise ParseError(path, line_no, f"expected 9 or 10 columns, got {len(fields)}")
-        vals = parse_numbers(path, line_no, fields, _MOT_INT_COLS)
-        if vals[0] < 1:
-            raise ParseError(path, line_no, f"frame must be >= 1, got {vals[0]}")
-        if vals[4] <= 0 or vals[5] <= 0:
-            raise ParseError(path, line_no, f"nonpositive box size {vals[4]}x{vals[5]}")
-        if max(abs(vals[2]), abs(vals[3]), vals[4], vals[5]) > COORD_MAX:
-            raise ParseError(path, line_no, f"box coordinate beyond {COORD_MAX:.0f} px")
-        if len(vals) == 10 and not 0.0 <= vals[9] <= 1.0:
-            raise ParseError(path, line_no, f"motion awareness must be in [0,1], got {vals[9]}")
-        records.append(MotRecord(*vals, source=(path, line_no)))
+    line_nos, rows, (frame, tid, cls), err = _table(
+        path, ",", (0, 1, 7), lambda n: None if n in (9, 10) else
+        f"expected 9 or 10 columns, got {n}", 10)
+    _, _, x, y, w, h, conf, _, vis, ma = rows.T.tolist()
+    _check(path, line_nos, err, [
+        (rows[:, 0] < 1, lambda i: f"frame must be >= 1, got {frame[i]}"),
+        ((rows[:, 4] <= 0) | (rows[:, 5] <= 0), lambda i: f"nonpositive box size {w[i]}x{h[i]}"),
+        (np.abs(rows[:, 2:6]).max(axis=1) > COORD_MAX,
+         lambda i: f"box coordinate beyond {COORD_MAX:.0f} px"),
+        ((rows[:, 9] < 0) | (rows[:, 9] > 1),
+         lambda i: f"motion awareness must be in [0,1], got {ma[i]}"),
+    ])
+    ma = [None if math.isnan(v) else v for v in ma]
+    records = list(map(MotRecord, frame, tid, x, y, w, h, conf, cls, vis, ma,
+                       [(path, n) for n in line_nos]))
     records.sort(key=lambda r: r.frame)
     return records
 
 
 def records_to_detections(records: list[MotRecord],
                           embeddings: dict | None = None) -> dict[int, list[Detection]]:
-    """Group records into per-frame Detection lists.
+    """Group records into per-frame Detection lists; a record that makes no
+    Detection is an error at its line.
 
     ``embeddings`` maps (frame, index within that frame) to a unit vector.
     """
@@ -192,9 +215,12 @@ def records_to_detections(records: list[MotRecord],
     out: dict[int, list[Detection]] = {}
     for r in records:
         dets = out.setdefault(r.frame, [])
-        dets.append(Detection(r.frame, BBox(r.x, r.y, r.w, r.h), min(max(r.conf, 0.0), 1.0),
-                              max(r.class_id, 0), r.motion_awareness,
-                              embeddings.get((r.frame, len(dets)))))
+        try:
+            dets.append(Detection(r.frame, BBox(r.x, r.y, r.w, r.h), min(max(r.conf, 0.0), 1.0),
+                                  max(r.class_id, 0), r.motion_awareness,
+                                  embeddings.get((r.frame, len(dets)))))
+        except ValueError as e:
+            raise (ParseError(*r.source, e) if r.source else e) from None
     return out
 
 
@@ -207,7 +233,7 @@ def records_to_trajectories(records: list[MotRecord]) -> TrajectorySet:
         if r.frame in boxes:
             msg = f"track {r.track_id} already has a box in frame {r.frame}"
             raise ParseError(*r.source, msg) if r.source else ValueError(msg)
-        boxes[r.frame] = r.bbox()
+        boxes[r.frame] = BBox(r.x, r.y, r.w, r.h)
     return TrajectorySet.build((tid, boxes.items()) for tid, boxes in sorted(tracks.items()))
 
 
@@ -222,49 +248,24 @@ def write_mot_file(tset: TrajectorySet, path) -> None:
 def parse_embeddings(path) -> dict[tuple[int, int], np.ndarray]:
     """Lines of `frame det_index v1 ... vd`, one per key; vectors are L2-normalized.
     `det_index` is the 0-based position among that frame's detections."""
-    table = _read_table(path, None)
-    if table is None or table[1].shape[1] < 3 or not _integral(table[1][:, :2]):
-        return _parse_embedding_lines(path)
-    rows = table[1]
-    keys = list(zip(*rows[:, :2].astype(np.int64).T.tolist()))
-    vecs = rows[:, 2:]
+    line_nos, rows, (frame, idx), err = _table(
+        path, None, (0, 1), lambda n: "expected `frame index v1 ... vd`" if n < 3 else None, 3)
+    keys = list(zip(frame, idx))
+    dims = np.count_nonzero(~np.isnan(rows), axis=1) - 2
+    vecs = rows[:, 2:2 + (dims[0] if len(dims) else 0)]
     # Each row's own dot product, as np.linalg.norm takes it for one vector;
-    # np.linalg.norm(axis=1) can differ in the last bit. A norm that
-    # overflows sends the file to the per-line parser.
+    # np.linalg.norm(axis=1) can differ in the last bit.
     with np.errstate(over="ignore"):
         norms = np.sqrt(vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0]
-    if not ((rows[:, 0] >= 1).all() and (rows[:, 1] >= 0).all()
-            and ((norms >= _NORM_MIN) & (norms < math.inf)).all()
-            and len(set(keys)) == len(keys)):
-        return _parse_embedding_lines(path)
+    _check(path, line_nos, err, [
+        ((rows[:, 0] < 1) | (rows[:, 1] < 0),
+         lambda i: f"need frame >= 1 and index >= 0, got {frame[i]} {idx[i]}"),
+        (dims != dims[:1], lambda i: f"dimension {dims[i]} != first dimension {dims[0]}"),
+        (~((norms >= _NORM_MIN) & (norms < math.inf)),
+         lambda i: f"embedding of norm {norms[i]} cannot be normalized"),
+        (_repeats(keys), lambda i: f"repeated frame {frame[i]} index {idx[i]}"),
+    ])
     return dict(zip(keys, vecs / norms[:, None]))
-
-
-def _parse_embedding_lines(path) -> dict[tuple[int, int], np.ndarray]:
-    """``parse_embeddings`` line by line, for the files the bulk read declines."""
-    out: dict[tuple[int, int], np.ndarray] = {}
-    dim = None
-    for line_no, line in read_lines(path):
-        fields = line.split()
-        if len(fields) < 3:
-            raise ParseError(path, line_no, "expected `frame index v1 ... vd`")
-        vals = parse_numbers(path, line_no, fields, (0, 1))
-        if vals[0] < 1 or vals[1] < 0:
-            raise ParseError(path, line_no,
-                             f"need frame >= 1 and index >= 0, got {vals[0]} {vals[1]}")
-        vec = np.array(vals[2:])
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise ParseError(path, line_no, f"dimension {vec.size} != first dimension {dim}")
-        with np.errstate(over="ignore"):
-            n = np.linalg.norm(vec)
-        if not _NORM_MIN <= n < math.inf:
-            raise ParseError(path, line_no, f"embedding of norm {n} cannot be normalized")
-        if (vals[0], vals[1]) in out:
-            raise ParseError(path, line_no, f"repeated frame {vals[0]} index {vals[1]}")
-        out[(vals[0], vals[1])] = vec / n
-    return out
 
 
 def write_embeddings(emb: dict[tuple[int, int], np.ndarray], path) -> None:
@@ -295,45 +296,28 @@ def write_scene(scene, dets: dict[int, list[Detection]], out_dir) -> None:
 
 def parse_cmc_file(path) -> dict[int, Affine2x3]:
     """Lines of `frame r11 r12 tx r21 r22 ty`, one per frame; missing frames mean identity."""
-    table = _read_table(path, None)
-    if table is None or table[1].shape[1] != 7 or not _integral(table[1][:, 0]):
-        return _parse_cmc_lines(path)
-    rows = table[1]
-    frames = rows[:, 0].astype(np.int64).tolist()
-    if not ((rows[:, 0] >= 1).all() and len(set(frames)) == len(frames)):
-        return _parse_cmc_lines(path)
-    return dict(zip(frames, map(Affine2x3, rows[:, 1:].reshape(-1, 2, 3))))
-
-
-def _parse_cmc_lines(path) -> dict[int, Affine2x3]:
-    """``parse_cmc_file`` line by line, for the files the bulk read declines."""
-    out: dict[int, Affine2x3] = {}
-    for line_no, line in read_lines(path):
-        fields = line.split()
-        if len(fields) != 7:
-            raise ParseError(path, line_no, f"expected 7 fields, got {len(fields)}")
-        vals = parse_numbers(path, line_no, fields, (0,))
-        if vals[0] < 1:
-            raise ParseError(path, line_no, f"frame must be >= 1, got {vals[0]}")
-        if vals[0] in out:
-            raise ParseError(path, line_no, f"repeated frame {vals[0]}")
-        out[vals[0]] = Affine2x3(np.array(vals[1:]).reshape(2, 3))
-    return out
+    line_nos, rows, (frame,), err = _table(
+        path, None, (0,), lambda n: None if n == 7 else f"expected 7 fields, got {n}", 7)
+    _check(path, line_nos, err, [
+        (rows[:, 0] < 1, lambda i: f"frame must be >= 1, got {frame[i]}"),
+        (_repeats(frame), lambda i: f"repeated frame {frame[i]}"),
+    ])
+    return dict(zip(frame, map(Affine2x3, rows[:, 1:].reshape(-1, 2, 3))))
 
 
 def parse_proposals(path) -> list[tuple[int, Proposal]]:
     """Lines of `x y w h v_hat f1 ... fk` (k >= 1), each paired with its line
     number so later errors can name it."""
+    line_nos, rows, _, err = _table(
+        path, None, (), lambda n: "expected `x y w h v_hat f1 ...`" if n < 6 else None, 6)
     props = []
-    for line_no, line in read_lines(path):
-        fields = line.split()
-        if len(fields) < 6:
-            raise ParseError(path, line_no, "expected `x y w h v_hat f1 ...`")
-        vals = parse_numbers(path, line_no, fields, ())
+    for line_no, row in zip(line_nos, rows.tolist()):
         try:
-            props.append((line_no, Proposal(BBox(*vals[:4]), np.array(vals[5:]), vals[4])))
+            feature = np.array([v for v in row[5:] if not math.isnan(v)])
+            props.append((line_no, Proposal(BBox(*row[:4]), feature, row[4])))
         except ValueError as e:
             raise ParseError(path, line_no, e) from None
+    _check(path, line_nos, err, [])
     return props
 
 

@@ -29,10 +29,6 @@ class Affine2x3:
             raise ValueError("affine matrix contains non-finite values")
         object.__setattr__(self, "m", m)
 
-    @classmethod
-    def identity(cls) -> "Affine2x3":
-        return cls(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-
     @property
     def rot(self) -> np.ndarray:
         return self.m[:, :2]

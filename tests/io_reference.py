@@ -13,17 +13,25 @@ as it was before it also wrote PPM, and `write_scene`: the synth command's
 file writing as it was when the command did it itself, calling the frozen
 writers here and counting frames as `len(scene.frames)`.
 
+Last, the line-by-line readers as they were before each format's checks
+became masks over one table: `read_lines`, `parse_numbers`, `_NORM_MIN`,
+`_MOT_INT_COLS`, the per-line MOT, embedding and camera-motion parsers
+`_parse_mot_lines`, `_parse_embedding_lines` and `_parse_cmc_lines`, and
+`parse_proposals` (here `parse_proposal_lines`), each calling the copies here.
+
 Test-only; do not change it to follow the library.
 """
 from __future__ import annotations
 
+import math
 import os
+import sys
 from dataclasses import fields
 
 import numpy as np
 
 from sartrack.assoc import TrackerConfig
-from sartrack.core import BBox, TrajectorySet
+from sartrack.core import COORD_MAX, BBox, TrajectorySet
 from sartrack.io import MotRecord, ParseError
 from sartrack.lfa import Proposal
 from sartrack.motion import Affine2x3
@@ -264,3 +272,123 @@ def write_scene(scene, dets, out_dir) -> None:
     with open(os.path.join(out_dir, "cmc.txt"), "w") as fh:
         for f in range(1, len(scene.frames) + 1):
             fh.write(f"{f} 1 0 0 0 1 0\n")
+
+
+# Smallest embedding norm whose squared sum is a normal float: below it the
+# sum loses precision and the normalized vector can miss unit norm.
+_NORM_MIN = math.sqrt(sys.float_info.min)
+
+
+def read_lines(path):
+    """Yield (line number, stripped text) for each nonblank line of an ASCII
+    text file. A line holding a non-ASCII byte is a ParseError."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise ParseError(path, line_no, "non-ASCII byte")
+            line = line.strip()
+            if line:
+                yield line_no, line
+
+
+def parse_numbers(path, line_no, fields, int_cols) -> list:
+    """The fields as finite floats, except those at the indices in
+    ``int_cols``, which must be integral (``3`` or ``3.0``) and become ints."""
+    try:
+        vals = [float(f) for f in fields]
+    except ValueError as e:
+        raise ParseError(path, line_no, f"non-numeric field: {e}") from None
+    if not all(map(math.isfinite, vals)):
+        raise ParseError(path, line_no, "non-finite value")
+    for i in int_cols:
+        if not vals[i].is_integer():
+            raise ParseError(path, line_no, f"expected an integer, got {fields[i]!r}")
+        try:
+            vals[i] = int(fields[i])  # exact beyond 2**53
+        except ValueError:
+            vals[i] = int(vals[i])
+    return vals
+
+
+_MOT_INT_COLS = (0, 1, 7)
+
+
+def _parse_mot_lines(path) -> list[MotRecord]:
+    """``parse_mot_file`` line by line, for the files the bulk read declines;
+    the source of its ``path:line: message`` errors."""
+    records = []
+    for line_no, line in read_lines(path):
+        fields = line.split(",")
+        if len(fields) not in (9, 10):
+            raise ParseError(path, line_no, f"expected 9 or 10 columns, got {len(fields)}")
+        vals = parse_numbers(path, line_no, fields, _MOT_INT_COLS)
+        if vals[0] < 1:
+            raise ParseError(path, line_no, f"frame must be >= 1, got {vals[0]}")
+        if vals[4] <= 0 or vals[5] <= 0:
+            raise ParseError(path, line_no, f"nonpositive box size {vals[4]}x{vals[5]}")
+        if max(abs(vals[2]), abs(vals[3]), vals[4], vals[5]) > COORD_MAX:
+            raise ParseError(path, line_no, f"box coordinate beyond {COORD_MAX:.0f} px")
+        if len(vals) == 10 and not 0.0 <= vals[9] <= 1.0:
+            raise ParseError(path, line_no, f"motion awareness must be in [0,1], got {vals[9]}")
+        records.append(MotRecord(*vals, source=(path, line_no)))
+    records.sort(key=lambda r: r.frame)
+    return records
+
+
+def _parse_embedding_lines(path) -> dict[tuple[int, int], np.ndarray]:
+    """``parse_embeddings`` line by line, for the files the bulk read declines."""
+    out: dict[tuple[int, int], np.ndarray] = {}
+    dim = None
+    for line_no, line in read_lines(path):
+        fields = line.split()
+        if len(fields) < 3:
+            raise ParseError(path, line_no, "expected `frame index v1 ... vd`")
+        vals = parse_numbers(path, line_no, fields, (0, 1))
+        if vals[0] < 1 or vals[1] < 0:
+            raise ParseError(path, line_no,
+                             f"need frame >= 1 and index >= 0, got {vals[0]} {vals[1]}")
+        vec = np.array(vals[2:])
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise ParseError(path, line_no, f"dimension {vec.size} != first dimension {dim}")
+        with np.errstate(over="ignore"):
+            n = np.linalg.norm(vec)
+        if not _NORM_MIN <= n < math.inf:
+            raise ParseError(path, line_no, f"embedding of norm {n} cannot be normalized")
+        if (vals[0], vals[1]) in out:
+            raise ParseError(path, line_no, f"repeated frame {vals[0]} index {vals[1]}")
+        out[(vals[0], vals[1])] = vec / n
+    return out
+
+
+def _parse_cmc_lines(path) -> dict[int, Affine2x3]:
+    """``parse_cmc_file`` line by line, for the files the bulk read declines."""
+    out: dict[int, Affine2x3] = {}
+    for line_no, line in read_lines(path):
+        fields = line.split()
+        if len(fields) != 7:
+            raise ParseError(path, line_no, f"expected 7 fields, got {len(fields)}")
+        vals = parse_numbers(path, line_no, fields, (0,))
+        if vals[0] < 1:
+            raise ParseError(path, line_no, f"frame must be >= 1, got {vals[0]}")
+        if vals[0] in out:
+            raise ParseError(path, line_no, f"repeated frame {vals[0]}")
+        out[vals[0]] = Affine2x3(np.array(vals[1:]).reshape(2, 3))
+    return out
+
+
+def parse_proposal_lines(path) -> list[tuple[int, Proposal]]:
+    """Lines of `x y w h v_hat f1 ... fk` (k >= 1), each paired with its line
+    number so later errors can name it."""
+    props = []
+    for line_no, line in read_lines(path):
+        fields = line.split()
+        if len(fields) < 6:
+            raise ParseError(path, line_no, "expected `x y w h v_hat f1 ...`")
+        vals = parse_numbers(path, line_no, fields, ())
+        try:
+            props.append((line_no, Proposal(BBox(*vals[:4]), np.array(vals[5:]), vals[4])))
+        except ValueError as e:
+            raise ParseError(path, line_no, e) from None
+    return props

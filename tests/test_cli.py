@@ -82,6 +82,20 @@ def test_track_huge_box_names_line(capsys, tmp_path, lines):
     assert err.startswith(f"sartrack: error: {bad}:1: box coordinate beyond")
 
 
+def test_track_class_id_beyond_int64_names_line(capsys, tmp_path):
+    """`track` packs classes as int64, so a class id of 2**70 is a data error
+    at its line; `eval` never packs them and keeps accepting it."""
+    det = tmp_path / "det.txt"
+    det.write_text("1,-1,10,10,8,8,0.9,1180591620717411303424,-1\n"
+                   "2,-1,11,10,8,8,0.9,1180591620717411303424,-1\n")
+    code, _, err = run(capsys, "track", "--det", str(det), "--out", str(tmp_path / "r.txt"))
+    assert code == 2
+    assert err.startswith(f"sartrack: error: {det}:1: class_id must be in [0, 2**63 - 1]")
+    assert not (tmp_path / "r.txt").exists()
+    code, _, _ = run(capsys, "eval", "--gt", str(det), "--res", str(det))
+    assert code == 0
+
+
 def test_eval_huge_box_names_line(capsys, tmp_path):
     gt = tmp_path / "gt.txt"
     res = tmp_path / "res.txt"

@@ -1,8 +1,8 @@
-"""The bulk read of MOT, embedding and camera-motion files against the
-per-line parser it falls back to: each file gives equal results (float bits,
-int types and record sources included) or the same ParseError text through
-both. Then the writers, `io.write_scene` included, against their frozen
-copies in io_reference.py."""
+"""MOT, embedding and camera-motion files, read in bulk or through the line
+tokenizer, against frozen copies of the per-line parsers in io_reference.py:
+each file gives equal results (float bits, int types and record sources
+included) or the same ParseError text through both. Then the writers,
+`io.write_scene` included, against their frozen copies there."""
 import dataclasses
 import os
 import tempfile
@@ -21,12 +21,12 @@ from sartrack.core import BBox, TrajectorySet
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# Each format: its public parser, the name of its per-line parser, and the
-# field separator its lines use.
+# Each format: its public parser, the frozen per-line parser, and the field
+# separator its lines use.
 FORMATS = {
-    "mot": (sio.parse_mot_file, "_parse_mot_lines", ","),
-    "emb": (sio.parse_embeddings, "_parse_embedding_lines", " "),
-    "cmc": (sio.parse_cmc_file, "_parse_cmc_lines", " "),
+    "mot": (sio.parse_mot_file, ref._parse_mot_lines, ","),
+    "emb": (sio.parse_embeddings, ref._parse_embedding_lines, " "),
+    "cmc": (sio.parse_cmc_file, ref._parse_cmc_lines, " "),
 }
 
 
@@ -48,16 +48,16 @@ def _run(parse, path):
 
 def both_paths(kind, data: bytes):
     """(public parser's result, per-line parser's result, whether the public
-    parser took the bulk path) for a file holding ``data``."""
-    parse, lines_name, _ = FORMATS[kind]
-    per_line = getattr(sio, lines_name)
+    parser took the bulk path, that is, never called the line reader) for a
+    file holding ``data``."""
+    parse, per_line, _ = FORMATS[kind]
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "in.txt")
         Path(path).write_bytes(data)
         # The per-line parser's np.linalg.norm warns before it rejects a norm
         # that overflows.
         with np.errstate(over="ignore"):
-            with mock.patch.object(sio, lines_name, wraps=per_line) as spy:
+            with mock.patch.object(sio, "read_lines", wraps=sio.read_lines) as spy:
                 got = _run(parse, path)
             return got, _run(per_line, path), not spy.called
 
@@ -93,33 +93,40 @@ PINNED = [
     ("mot", _lines(f"1,{2**53 + 1},10,20,30,40,0.9,1,-1"), False),
     ("mot", _lines(f"1,{2**53},10,20,30,40,0.9,1,-1"), False),
     ("mot", _lines(MOT, MOT + ",0.5"), False),
-    ("mot", _lines(MOT + ",1.5"), False),
-    ("mot", _lines("1,-1,10,20,0,40,0.9,1,-1"), False),
-    ("mot", _lines("0,-1,10,20,30,40,0.9,1,-1"), False),
+    ("mot", _lines(MOT + ",1.5"), True),
+    ("mot", _lines("1,-1,10,20,0,40,0.9,1,-1"), True),
+    ("mot", _lines("0,-1,10,20,30,40,0.9,1,-1"), True),
     ("mot", _lines("1.5,-1,10,20,30,40,0.9,1,-1"), False),
-    ("mot", _lines("1,-1,1000000001,20,30,40,0.9,1,-1"), False),
+    ("mot", _lines("1,-1,1000000001,20,30,40,0.9,1,-1"), True),
     ("mot", _lines("1,-1,10,20,30,40,0.9,1"), False),
     ("mot", _lines("1,-1,10,20,30,40,0.9,1,-1,"), False),
     ("mot", _lines("1e30,-1,10,20,30,40,0.9,1,-1"), False),
     ("mot", _lines("1,-1,10,20,30,40,0.9,-1e30,-1"), False),
     ("mot", _lines("1,-1,10 20,30,40,0.9,1,-1,0"), False),
-    ("emb", _lines(EMB, "1 0 1 0"), False),
-    ("emb", _lines("1 0 0 0"), False),
-    ("emb", _lines("1 0 5e-324 0"), False),
-    ("emb", _lines("1 0 1e-160 1e-160"), False),
-    ("emb", _lines("1 0 1e200 1e200"), False),
+    ("emb", _lines(EMB, "1 0 1 0"), True),
+    ("emb", _lines("1 0 0 0"), True),
+    ("emb", _lines("1 0 5e-324 0"), True),
+    ("emb", _lines("1 0 1e-160 1e-160"), True),
+    ("emb", _lines("1 0 1e200 1e200"), True),
     ("emb", _lines(EMB, "1 1 0.6"), False),
     ("emb", _lines("1 0"), False),
-    ("emb", _lines("0 0 1 0"), False),
-    ("emb", _lines("1 -1 1 0"), False),
+    ("emb", _lines("0 0 1 0"), True),
+    ("emb", _lines("1 -1 1 0"), True),
     ("emb", _lines(f"{2**53 + 1} 0 1 0"), False),
     ("emb", _lines("1e30 0 1 0"), False),
     ("emb", _lines("1 1e30 1 0"), False),
-    ("cmc", _lines(CMC, CMC), False),
+    ("cmc", _lines(CMC, CMC), True),
     ("cmc", _lines("1 1 0 0 0 1"), False),
     ("cmc", _lines("3.5 1 0 0 0 1 0"), False),
-    ("cmc", _lines("0 1 0 0 0 1 0"), False),
+    ("cmc", _lines("0 1 0 0 0 1 0"), True),
     ("cmc", _lines("1e30 1 0 0 0 1 0"), False),
+    # A value check on an earlier line is named before a later line that does
+    # not split into numbers, and a line that does not split before a later
+    # value check; within a line, the first check in line order wins.
+    ("mot", _lines(MOT, "0,-1,10,20,30,40,0.9,1,-1", "1,-1,x,20,30,40,0.9,1,-1"), False),
+    ("mot", _lines(MOT, "1,-1,x,20,30,40,0.9,1,-1", "0,-1,10,20,30,40,0.9,1,-1"), False),
+    ("emb", _lines(EMB, "1 -1 1 0 0"), False),
+    ("cmc", _lines(CMC, CMC, "2 1 0 x 0 1 0"), False),
     # Plain files the bulk path reads.
     ("mot", _lines("+3,-1,10,20,30,40,0.9,1,-1", "3.0,+2,1e1,20,30,40,.9,1.0,-1"), True),
     ("mot", _lines("", "  ", MOT, "", " 2 , -1 , 10 ,20,30,40,0.9,1,-1 ", "   "), True),
@@ -232,6 +239,39 @@ def test_embedding_norms_are_one_row_norms(n, dim, seed):
                    for i, v in enumerate(vecs))
     got, per_line, took_bulk = both_paths("emb", text.encode())
     assert took_bulk and got == per_line
+
+
+def _proposals(data: bytes):
+    """`parse_proposals` and its frozen per-line copy on a file holding
+    ``data``, each as plain data or its ParseError text."""
+    def run(parse, path):
+        try:
+            return [(n, repr(p.bbox), repr(p.v_hat), p.feature.tobytes()) for n, p in parse(path)]
+        except sio.ParseError as e:
+            return ("ParseError", str(e))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "props.txt")
+        Path(path).write_bytes(data)
+        return run(sio.parse_proposals, path), run(ref.parse_proposal_lines, path)
+
+
+@pytest.mark.parametrize("data", [
+    _lines("2 2 4 4 0.5 1 2", "", "1 1 4 4 1 3 4"),
+    _lines("2 2 4 4 0.5 1", "1 1 0 4 0.5 1", "1 1 4 x 0.5 1"),
+    _lines("2 2 4 4 0.5 1", "1 1 4 x 0.5 1", "1 1 4 4 1.5 1"),
+    _lines("2 2 4 4 0.5 1 2", "1 1 4 4 0.5"),
+    _lines("2 2 4 4 0.5 1 2", "1 1 4 4 0.5 1", end="\r\n"),
+])
+def test_pinned_proposal_files_agree_with_frozen_copy(data):
+    got, per_line = _proposals(data)
+    assert got == per_line
+
+
+@settings(max_examples=100, deadline=None)
+@given(_text_file(" ", (4, 8)))
+def test_any_proposal_file_agrees_with_frozen_copy(data):
+    got, per_line = _proposals(data)
+    assert got == per_line
 
 
 # The writers against their frozen copies.

@@ -118,7 +118,7 @@ def test_tracks_constant_velocity_truth():
 
 def test_apply_cmc_identity():
     mean, cov = init1((1, 2, 1, 4))
-    out_mean, out_cov = apply_cmc(mean, cov, Affine2x3.identity())
+    out_mean, out_cov = apply_cmc(mean, cov, Affine2x3(np.eye(2, 3)))
     np.testing.assert_array_equal(out_mean, mean)
     np.testing.assert_array_equal(out_cov, cov)
 
