@@ -11,7 +11,7 @@ from itertools import compress
 import numpy as np
 
 from ._solver import linear_sum_assignment
-from .core import BBox, Detection, TrajectorySet, as_xywh, iou
+from .core import BBox, Detection, TrajectorySet, as_xywh, iou, row_norms
 from .motion import (Affine2x3, apply_cmc, boxes_to_measurements, kf_init,
                      kf_predict, kf_update, means_to_boxes)
 
@@ -176,9 +176,7 @@ class Tracker:
         self.emb[r[~mix]], self.has_emb[r] = e[~mix], True
         r, a = r[mix], self.cfg.ema_alpha
         mixed = a * self.emb[r] + (1.0 - a) * e[mix]
-        # This stacked row-by-row dot product equals a one-row
-        # np.linalg.norm bit for bit; np.linalg.norm(axis=1) does not.
-        n = np.sqrt(mixed[:, None, :] @ mixed[:, :, None])[:, 0, 0]
+        n = row_norms(mixed)
         self.emb[r[n > 0]] = mixed[n > 0] / n[n > 0, None]
         v_obs = np.where(np.isnan(ma), np.minimum(speeds / speed_max[1:], 1.0), ma)
         va = self.cfg.v_ema_alpha

@@ -61,6 +61,13 @@ def iou(boxes_a, boxes_b) -> np.ndarray:
     return inter / ((a[:, 2] * a[:, 3])[:, None] + (b[:, 2] * b[:, 3])[None, :] - inter)
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """L2 norm of each row of an (N, D) array. Each row's own dot product
+    equals a one-row np.linalg.norm bit for bit; np.linalg.norm(axis=1)
+    can differ in the last bit."""
+    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True, slots=True)
 class Detection:
     """One observed target in one frame.

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import COORD_MAX, BBox, Detection, TrajectorySet
+from .core import COORD_MAX, BBox, Detection, TrajectorySet, row_norms
 from .lfa import Proposal
 from .motion import Affine2x3
 
@@ -253,10 +253,8 @@ def parse_embeddings(path) -> dict[tuple[int, int], np.ndarray]:
     keys = list(zip(frame, idx))
     dims = np.count_nonzero(~np.isnan(rows), axis=1) - 2
     vecs = rows[:, 2:2 + (dims[0] if len(dims) else 0)]
-    # Each row's own dot product, as np.linalg.norm takes it for one vector;
-    # np.linalg.norm(axis=1) can differ in the last bit.
     with np.errstate(over="ignore"):
-        norms = np.sqrt(vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0]
+        norms = row_norms(vecs)
     _check(path, line_nos, err, [
         ((rows[:, 0] < 1) | (rows[:, 1] < 0),
          lambda i: f"need frame >= 1 and index >= 0, got {frame[i]} {idx[i]}"),
@@ -269,10 +267,9 @@ def parse_embeddings(path) -> dict[tuple[int, int], np.ndarray]:
 
 
 def write_embeddings(emb: dict[tuple[int, int], np.ndarray], path) -> None:
-    text = "".join(f"{f} {i} {' '.join(map(_fmt, np.asarray(emb[f, i], float).tolist()))}\n"
-                   for f, i in sorted(emb))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+        fh.writelines(f"{f} {i} {' '.join(map(_fmt, np.asarray(emb[f, i], float).tolist()))}\n"
+                      for f, i in sorted(emb))
 
 
 def write_scene(scene, dets: dict[int, list[Detection]], out_dir) -> None:

@@ -1,6 +1,7 @@
 """MOT evaluation: CLEAR metrics, identity metrics, and the HOTA family."""
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,7 @@ from .core import TrajectorySet, iou
 HOTA_ALPHAS = [round(0.05 * k, 2) for k in range(1, 20)]
 
 _BIG = 1e9
+_NO_ROWS = np.zeros(0, dtype=np.intp)  # so np.concatenate never gets []
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,17 +32,28 @@ class MetricsReport:
 
 
 def _frame_tables(gt: TrajectorySet, pred: TrajectorySet):
-    """(gt ids, pred ids, IoU matrix) for every frame either set covers, in
-    frame order."""
-    gt_frames = gt.boxes_by_frame()
-    pred_frames = pred.boxes_by_frame()
-    tables = []
-    for f in sorted(set(gt_frames) | set(pred_frames)):
-        gf = gt_frames.get(f, [])
-        pf = pred_frames.get(f, [])
-        tables.append(([g for g, _ in gf], [p for p, _ in pf],
-                       iou([b for _, b in gf], [b for _, b in pf])))
-    return tables
+    """(gt rows, pred rows, IoU matrix) of each frame either set covers, in
+    frame order. A row is a track's index in ``.tracks``; rows ascend."""
+    frames = defaultdict(lambda: ([], [], [], []))
+    for side, tset in ((0, gt), (2, pred)):
+        for row, (_, seq) in enumerate(tset.tracks):
+            for f, b in seq:
+                frames[f][side].append(row)
+                frames[f][side + 1].append(b)
+    return [(gr, pr, iou(gb, pb)) for gr, gb, pr, pb in (frames[f] for f in sorted(frames))]
+
+
+def _track_lengths(tset: TrajectorySet) -> np.ndarray:
+    return np.array([len(seq) for _, seq in tset.tracks], dtype=np.int64)
+
+
+def _matches(m: np.ndarray, thr: float):
+    """(rows, cols) of the Hungarian matching on 1 - IoU over the pairs of
+    ``m`` at or above ``thr``; ``m`` has no empty side."""
+    cost = np.where(m >= thr, 1.0 - m, _BIG)
+    rows, cols = linear_sum_assignment(cost)
+    keep = cost[rows, cols] < _BIG
+    return rows[keep], cols[keep]
 
 
 def clear_mot(gt: TrajectorySet, pred: TrajectorySet, iou_thr: float = 0.5):
@@ -56,40 +69,30 @@ def clear_mot(gt: TrajectorySet, pred: TrajectorySet, iou_thr: float = 0.5):
     if total_gt == 0:
         raise ValueError("empty ground truth: MOTA undefined")
     fp = fn = idsw = 0
-    prev: dict[int, int] = {}
-    last_pred_of_gt: dict[int, int] = {}
-    covered: dict[int, int] = {}
-    for gids, pids, m in _frame_tables(gt, pred):
-        row = {g: i for i, g in enumerate(gids)}
-        col = {p: j for j, p in enumerate(pids)}
+    prev: dict[int, int] = {}  # gt row -> pred row, last frame's matches
+    last_pred = [-1] * len(gt.tracks)  # pred row each gt row last matched
+    covered = [0] * len(gt.tracks)
+    for gt_rows, pred_rows, m in _frame_tables(gt, pred):
+        i_of = {g: i for i, g in enumerate(gt_rows)}
+        j_of = {p: j for j, p in enumerate(pred_rows)}
         matches = {g: p for g, p in prev.items()
-                   if g in row and p in col and m[row[g], col[p]] >= iou_thr}
+                   if g in i_of and p in j_of and m[i_of[g], j_of[p]] >= iou_thr}
         used = set(matches.values())
-        rem_g = [i for i, g in enumerate(gids) if g not in matches]
-        rem_p = [j for j, p in enumerate(pids) if p not in used]
+        rem_g = [i for i, g in enumerate(gt_rows) if g not in matches]
+        rem_p = [j for j, p in enumerate(pred_rows) if p not in used]
         if rem_g and rem_p:
-            sub = m[np.ix_(rem_g, rem_p)]
-            cost = np.where(sub >= iou_thr, 1.0 - sub, _BIG)
-            rows, cols = linear_sum_assignment(cost)
-            for r, c in zip(rows, cols):
-                if cost[r, c] < _BIG:
-                    matches[gids[rem_g[r]]] = pids[rem_p[c]]
-        fn += len(gids) - len(matches)
-        fp += len(pids) - len(matches)
+            for r, c in zip(*_matches(m[np.ix_(rem_g, rem_p)], iou_thr)):
+                matches[gt_rows[rem_g[r]]] = pred_rows[rem_p[c]]
+        fn += len(gt_rows) - len(matches)
+        fp += len(pred_rows) - len(matches)
         for g, p in matches.items():
-            if g in last_pred_of_gt and last_pred_of_gt[g] != p:
-                idsw += 1
-            last_pred_of_gt[g] = p
-            covered[g] = covered.get(g, 0) + 1
+            idsw += last_pred[g] not in (-1, p)
+            last_pred[g] = p
+            covered[g] += 1
         prev = matches
     mota = 1.0 - (fp + fn + idsw) / total_gt
-    mt = ml = 0
-    for tid, seq in gt.tracks:
-        frac = covered.get(tid, 0) / len(seq)
-        if frac >= 0.8:
-            mt += 1
-        elif frac <= 0.2:
-            ml += 1
+    frac = np.array(covered) / _track_lengths(gt)
+    mt, ml = int(np.count_nonzero(frac >= 0.8)), int(np.count_nonzero(frac <= 0.2))
     return mota, fp, fn, idsw, mt, ml
 
 
@@ -105,15 +108,12 @@ def id_metrics(gt: TrajectorySet, pred: TrajectorySet, iou_thr: float = 0.5):
     total_pred = pred.num_boxes()
     if total_gt == 0 and total_pred == 0:
         return 1.0, 1.0, 1.0
-    row = {tid: i for i, (tid, _) in enumerate(gt.tracks)}
-    col = {tid: j for j, (tid, _) in enumerate(pred.tracks)}
-    ng, np_ = len(row), len(col)
-    # ov[i, j]: frames where gt trajectory i and pred trajectory j overlap.
+    ng, np_ = len(gt.tracks), len(pred.tracks)
+    # ov[i, j]: frames where gt row i and pred row j overlap.
     ov = np.zeros((ng, np_), dtype=np.int64)
-    for gids, pids, m in _frame_tables(gt, pred):
-        ov[np.ix_([row[g] for g in gids], [col[p] for p in pids])] += m >= iou_thr
-    gt_len = np.array([len(seq) for _, seq in gt.tracks], dtype=np.int64)
-    pred_len = np.array([len(seq) for _, seq in pred.tracks], dtype=np.int64)
+    for gt_rows, pred_rows, m in _frame_tables(gt, pred):
+        ov[np.ix_(gt_rows, pred_rows)] += m >= iou_thr
+    gt_len, pred_len = _track_lengths(gt), _track_lengths(pred)
     # Padded assignment: dummy columns/rows let any trajectory stay unpaired.
     cost = np.full((ng + np_, np_ + ng), _BIG)
     cost[:ng, :np_] = gt_len[:, None] + pred_len[None, :] - 2 * ov
@@ -140,38 +140,28 @@ def hota(gt: TrajectorySet, pred: TrajectorySet):
     if total_gt == 0:
         raise ValueError("empty ground truth: HOTA undefined")
     total_pred = pred.num_boxes()
-    tables = _frame_tables(gt, pred)
-    gt_count = {tid: len(seq) for tid, seq in gt.tracks}
-    pred_count = {tid: len(seq) for tid, seq in pred.tracks}
-
-    hotas, detas, assas = [], [], []
+    tables = [(np.array(gr, dtype=np.intp), np.array(pr, dtype=np.intp), m)
+              for gr, pr, m in _frame_tables(gt, pred) if m.size]
+    gt_len, pred_len = _track_lengths(gt), _track_lengths(pred)
+    scores = []  # (HOTA, DetA, AssA) per alpha
     for alpha in HOTA_ALPHAS:
-        pair_matches: dict[tuple[int, int], int] = {}
-        tp = 0
-        for gids, pids, m in tables:
-            if not gids or not pids:
-                continue
-            cost = np.where(m >= alpha, 1.0 - m, _BIG)
-            rows, cols = linear_sum_assignment(cost)
-            for r, c in zip(rows, cols):
-                if cost[r, c] < _BIG:
-                    key = (gids[r], pids[c])
-                    pair_matches[key] = pair_matches.get(key, 0) + 1
-                    tp += 1
-        fn = total_gt - tp
-        fp = total_pred - tp
-        deta = tp / (tp + fn + fp) if (tp + fn + fp) else 0.0
-        if tp:
-            acc = 0.0
-            for (g, p), n in pair_matches.items():
-                acc += n * (n / (gt_count[g] + pred_count[p] - n))
-            assa = acc / tp
-        else:
-            assa = 0.0
-        detas.append(deta)
-        assas.append(assa)
-        hotas.append((deta * assa) ** 0.5)
-    return float(np.mean(hotas)), float(np.mean(detas)), float(np.mean(assas))
+        g, p = [_NO_ROWS], [_NO_ROWS]
+        for gt_rows, pred_rows, m in tables:
+            rows, cols = _matches(m, alpha)
+            g.append(gt_rows[rows])
+            p.append(pred_rows[cols])
+        g, p = np.concatenate(g), np.concatenate(p)
+        tp = len(g)
+        deta = tp / (total_gt + total_pred - tp)
+        # The match count n of each (gt row, pred row) pair, in first-match order.
+        _, first, n = np.unique(g * len(pred_len) + p, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        g, p, n = g[first[order]], p[first[order]], n[order]
+        # Python's sum adds these np.float64 terms one at a time, in that order
+        # (it compensates only Python floats); np.sum adds pairwise.
+        assa = float(sum(n * (n / (gt_len[g] + pred_len[p] - n)))) / tp if tp else 0.0
+        scores.append(((deta * assa) ** 0.5, deta, assa))
+    return tuple(float(np.mean(col)) for col in zip(*scores))
 
 
 def evaluate(gt: TrajectorySet, pred: TrajectorySet, iou_thr: float = 0.5) -> MetricsReport:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from sartrack.io import (MotRecord, ParseError, id_color, load_config,
                          parse_cmc_file, parse_embeddings, parse_mot_file,
                          parse_proposals, read_pgm, read_tensor,
                          records_to_detections, records_to_trajectories,
-                         render_frame, write_mot_file, write_pgm, write_tensor)
+                         render_frame, write_embeddings, write_mot_file, write_pgm,
+                         write_tensor)
 
 
 def test_parse_basic_nine_column(tmp_path):
@@ -134,6 +136,25 @@ def test_parse_embeddings(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_write_embeddings_streams_its_lines(tmp_path):
+    """Wide vectors are written line by line: the write holds far less than
+    the file it writes, so synth's peak does not grow with the width."""
+    rng = np.random.default_rng(0)
+    emb = {(f, i): rng.normal(size=2000) for f in range(1, 6) for i in range(20)}
+    p = tmp_path / "emb.txt"
+    tracemalloc.start()
+    try:
+        write_embeddings(emb, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = p.stat().st_size
+    assert peak < size / 2, (peak, size)
+    got = parse_embeddings(p)
+    assert set(got) == set(emb)
+    np.testing.assert_allclose(got[3, 7], emb[3, 7] / np.linalg.norm(emb[3, 7]))
+
+
 def test_parse_embeddings_errors(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("1 0 3 4\n2 1 1 2 3\n")
