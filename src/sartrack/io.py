@@ -20,6 +20,7 @@ import struct
 import sys
 import typing
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -267,9 +268,19 @@ def parse_embeddings(path) -> dict[tuple[int, int], np.ndarray]:
 
 
 def write_embeddings(emb: dict[tuple[int, int], np.ndarray], path) -> None:
+    """`frame index v1 ... vd` lines in key order; vectors starting in one 4,096-value block
+    (65,536 held far more memory) are one write, each distinct value formatted once (-0 as 0)."""
+    keys = sorted(emb)
+    vecs = [np.asarray(emb[k], float) for k in keys]
+    starts = accumulate((v.size for v in vecs), initial=0)
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(f"{f} {i} {' '.join(map(_fmt, np.asarray(emb[f, i], float).tolist()))}\n"
-                      for f, i in sorted(emb))
+        for _, chunk in groupby(zip(starts, keys, vecs), lambda row: row[0] // 4096):
+            chunk = list(chunk)
+            values, index = np.unique(np.concatenate([v for _, _, v in chunk]), return_inverse=True)
+            text = list(map(_fmt, values.tolist()))
+            cells, c0 = list(map(text.__getitem__, index.tolist())), chunk[0][0]
+            fh.write("".join(f"{f} {i} {' '.join(cells[c - c0:c - c0 + v.size])}\n"
+                             for c, (f, i), v in chunk))
 
 
 def write_scene(scene, dets: dict[int, list[Detection]], out_dir) -> None:
@@ -432,8 +443,7 @@ def write_pgm(img: np.ndarray, path) -> None:
     if c not in ([], [3]):
         raise ValueError(f"expected an (H, W) or (H, W, 3) image, got shape {img.shape}")
     with open(path, "wb") as fh:
-        fh.write(f"{'P6' if c else 'P5'}\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+        fh.write(f"{'P6' if c else 'P5'}\n{w} {h}\n255\n".encode("ascii") + img.tobytes())
 
 
 def to_uint8(x: np.ndarray) -> np.ndarray:
@@ -442,11 +452,11 @@ def to_uint8(x: np.ndarray) -> np.ndarray:
     lo, hi = x.min(), x.max()
     if hi <= lo:
         return np.zeros(x.shape, dtype=np.uint8)
-    # (x - lo) / (hi - lo) * 255, rounded, one step at a time in one buffer.
+    # (x - lo) / (hi - lo) * 255 in one buffer, rounded straight into the result.
     buf = np.subtract(x, lo)
     buf /= hi - lo
     buf *= 255
-    return np.round(buf, out=buf).astype(np.uint8)
+    return np.rint(buf, out=np.empty(x.shape, dtype=np.uint8), casting="unsafe")
 
 
 def id_color(track_id: int) -> tuple[int, int, int]:

@@ -132,16 +132,6 @@ def _reflect(pos: float, vel: float, lo: float, hi: float) -> tuple[float, float
     return pos, vel
 
 
-def _draw_rect(img: np.ndarray, cx: float, cy: float, w: float, h: float, value: float):
-    hh, ww = img.shape
-    x0 = max(0, int(round(cx - w / 2)))
-    x1 = min(ww, int(round(cx + w / 2)))
-    y0 = max(0, int(round(cy - h / 2)))
-    y1 = min(hh, int(round(cy + h / 2)))
-    if x1 > x0 and y1 > y0:
-        img[y0:y1, x0:x1] = value
-
-
 def _draw_segment(img: np.ndarray, x0: float, y0: float, x1: float, y1: float, value: float):
     n = int(max(abs(x1 - x0), abs(y1 - y0))) + 1
     xs = np.round(np.linspace(x0, x1, n)).astype(int)
@@ -150,34 +140,64 @@ def _draw_segment(img: np.ndarray, x0: float, y0: float, x1: float, y1: float, v
     img[ys[keep], xs[keep]] = value
 
 
+def _paint_streaks(img: np.ndarray, owner: np.ndarray, t: np.ndarray, x0: np.ndarray,
+                   x1: np.ndarray, row: np.ndarray):
+    """Targets t's horizontal streaks as `_draw_segment` samples them, save where a
+    later rectangle covers (owner > t); a chunk holds <= a quarter frame of samples."""
+    hh, ww = img.shape
+    n = np.abs(x1 - x0).astype(np.int64) + 1
+    # np.linspace's own arithmetic: sample i is i * step + x0, the last is x1.
+    step = (x1 - x0) / np.maximum(n - 1, 1)
+    per = max(1, hh * ww // 4 // int(n.max(initial=1)))  # targets per chunk
+    for s in (slice(lo, lo + per) for lo in range(0, len(n), per)):
+        k, ends = n[s], np.cumsum(n[s])
+        xs = (np.arange(ends[-1]) - np.repeat(ends - k, k)) * np.repeat(step[s], k)
+        xs += np.repeat(x0[s], k)
+        xs[(ends - 1)[k > 1]] = x1[s][k > 1]
+        np.rint(xs, out=xs)
+        keep = (xs >= 0) & (xs < ww)
+        pix = xs[keep].astype(np.int64) + np.repeat(row[s] * ww, k)[keep]
+        pix = pix[owner.reshape(-1)[pix] <= np.repeat(t[s], k)[keep]]
+        img.reshape(-1)[pix] = STREAK_VALUE
+
+
 class Frames(Sequence):
     """A scene's frames as a read-only sequence of (H, W, 1) float64 maps.
 
-    Each access renders a fresh array from the per-target centre and speed
-    arrays, the sizes, the occluder mask and that frame's own noise seed, so
-    only the frames a caller keeps stay in memory."""
+    Each access (a slice gives a list) renders a fresh array: the frame's own noise,
+    the occluders, then every target's rectangle and streak as if in target order."""
 
     def __init__(self, cfg: ScenarioConfig, cx: np.ndarray, cy: np.ndarray,
                  speed: np.ndarray, sizes: list[tuple[float, float]], occluded: np.ndarray,
                  noise: list[np.random.SeedSequence]):
         self._cfg, self._cx, self._cy, self._speed = cfg, cx, cy, speed
-        self._sizes, self._occluded, self._noise = sizes, occluded, noise
+        self._rw, self._rh = np.array(sizes, dtype=float).reshape(-1, 2).T / 2  # half sizes
+        self._occluded, self._noise = np.flatnonzero(occluded), noise
 
     def __len__(self) -> int:
         return len(self._noise)
 
-    def __getitem__(self, f: int) -> np.ndarray:
+    def __iter__(self):  # Sequence's own would end quietly at an IndexError from rendering
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, f: int | slice) -> np.ndarray | list[np.ndarray]:
+        if isinstance(f, slice):
+            return [self[i] for i in range(len(self))[f]]
         f, cfg = range(len(self))[f], self._cfg  # IndexError out of range
-        img = np.random.default_rng(self._noise[f]).uniform(
-            0.0, cfg.noise_amplitude, (cfg.height, cfg.width)) if cfg.noise_amplitude > 0 \
-            else np.zeros((cfg.height, cfg.width))
-        img[self._occluded] = SHADOW_VALUE
-        for x, y, v, (w, h) in zip(self._cx[:, f].tolist(), self._cy[:, f].tolist(),
-                                   self._speed[:, f].tolist(), self._sizes):
-            _draw_rect(img, x, y, w, h, SHADOW_VALUE)
-            if v > 0 and cfg.streak_gain > 0:
-                off = cfg.streak_gain * v
-                _draw_segment(img, x + off - w / 2, y, x + off + w / 2, y, STREAK_VALUE)
+        hh, ww = cfg.height, cfg.width
+        img = np.random.default_rng(self._noise[f]).random((hh, ww))
+        img *= cfg.noise_amplitude  # the bits of uniform(0, a), zeros at a = 0
+        img.reshape(-1)[self._occluded] = SHADOW_VALUE
+        x, y, v, rw, rh = self._cx[:, f], self._cy[:, f], self._speed[:, f], self._rw, self._rh
+        # np.rint rounds half to even, as `round` does; off the canvas, a slice is empty.
+        bounds = np.clip(np.rint([x - rw, x + rw, y - rh, y + rh]), 0, [[ww], [ww], [hh], [hh]])
+        owner = np.full((hh, ww), -1, dtype=np.int32)  # last target whose rectangle covers
+        for i, (a, b, c, d) in enumerate(zip(*bounds.astype(int).tolist())):
+            img[c:d, a:b] = SHADOW_VALUE
+            owner[c:d, a:b] = i
+        t = np.flatnonzero((v > 0) & (cfg.streak_gain > 0) & (np.rint(y) >= 0) & (np.rint(y) < hh))
+        mid = x[t] + cfg.streak_gain * v[t]
+        _paint_streaks(img, owner, t, mid - rw[t], mid + rw[t], np.rint(y[t]).astype(int))
         return img[:, :, None]
 
 

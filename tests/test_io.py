@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 
 from sartrack.assoc import TrackerConfig
 from sartrack.core import BBox, TrajectorySet
-from sartrack.io import (MotRecord, ParseError, id_color, load_config,
+from sartrack.io import (MotRecord, ParseError, _fmt, id_color, load_config,
                          parse_cmc_file, parse_embeddings, parse_mot_file,
                          parse_proposals, read_pgm, read_tensor,
                          records_to_detections, records_to_trajectories,
@@ -133,6 +134,54 @@ def test_parse_embeddings(tmp_path):
     emb = parse_embeddings(p)
     np.testing.assert_allclose(emb[(1, 0)], [0.6, 0.8])
     assert set(emb) == {(1, 0), (2, 1)}
+
+
+def _write_embeddings_reference(emb, path):
+    """The line-by-line writer: one `_fmt` call per cell."""
+    with open(path, "w", encoding="ascii") as fh:
+        for f, i in sorted(emb):
+            fh.write(f"{f} {i} {' '.join(map(_fmt, np.asarray(emb[f, i], float).tolist()))}\n")
+
+
+# Cells where integer and repr formatting meet, signed zeros, the extremes.
+_ADVERSARIAL = [-0.0, 0.0, 0.5, -0.5, 1e15 - 1, -(1e15 - 1), 1e15, -1e15, 1e16,
+                float(2**53 + 2), 5e-324, -5e-324, 1e308, -1e308, math.nan, -math.nan,
+                math.inf, -math.inf, 1.0, -1.0, 0.1, 123456789.0]
+
+
+def _adversarial_rows():
+    rng = np.random.default_rng(1)
+    return {(f, i): rng.choice(_ADVERSARIAL, size=6)
+            for f in rng.permutation(np.arange(1, 400)).tolist() for i in range(3)}
+
+
+def _ragged_rows():
+    rng = np.random.default_rng(2)
+    return {(f, i): rng.choice(_ADVERSARIAL, size=int(rng.integers(0, 9)))
+            for f in range(1, 300) for i in range(4)}
+
+
+def _row_wider_than_a_chunk():
+    rng = np.random.default_rng(3)
+    wide = np.concatenate([rng.normal(size=9000), _ADVERSARIAL])
+    return {(1, 0): [0.0, 1.0], (2, 0): wide, (2, 1): -wide, (3, 0): np.array([-0.0, 7.0])}
+
+
+@pytest.mark.parametrize("rows", [_adversarial_rows, _ragged_rows, _row_wider_than_a_chunk])
+def test_write_embeddings_matches_per_cell_formatting(tmp_path, rows):
+    """Chunked writing, each distinct value formatted once, gives the bytes
+    of formatting every cell alone."""
+    emb = rows()
+    got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+    write_embeddings(emb, got)
+    _write_embeddings_reference(emb, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_embeddings_signed_zero_and_extremes(tmp_path):
+    p = tmp_path / "emb.txt"
+    write_embeddings({(2, 0): [0.0, -0.0, 1e15, 2.0**53 + 2], (1, 3): [-0.0, 5e-324, math.nan]}, p)
+    assert p.read_text() == "1 3 0 5e-324 nan\n2 0 0 0 1000000000000000.0 9007199254740994.0\n"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 import synthsim_reference as ref
 
+from sartrack import synthsim
 from sartrack.io import load_config
 from sartrack.synthsim import (PerturbConfig, ScenarioConfig, SHADOW_VALUE,
-                               STREAK_VALUE, generate_scene, perturb_detections)
+                               STREAK_VALUE, _draw_segment, _paint_streaks, generate_scene,
+                               perturb_detections)
 
 
 def test_empty_scene_static_only():
@@ -48,6 +50,21 @@ def test_streak_offset_matches_gain_times_speed():
         streak_cx = xs.mean()
         (_, b), = by_frame[fi]
         assert abs((streak_cx - b.cx)) == pytest.approx(10.0, abs=0.5)
+
+
+def test_streaks_are_sampled_as_draw_segment_samples_them():
+    """Streak samples follow np.linspace: the last one is x1 itself, where
+    (n - 1) * step + x0 rounds to a neighbouring pixel (the first three
+    pairs), and a streak under one pixel long is x0 alone."""
+    pairs = [(8.344599731464047, 30.5), (-7.757929414732095, 5.5), (3.876856538297254, 25.5),
+             (2.25, 2.75), (-3.0, 70.0), (60.5, 90.0)]
+    rows = np.arange(len(pairs))
+    got, want = np.zeros((len(pairs), 64)), np.zeros((len(pairs), 64))
+    for r, (x0, x1) in enumerate(pairs):
+        _draw_segment(want, x0, r, x1, r, STREAK_VALUE)
+    x0, x1 = np.array(pairs).T
+    _paint_streaks(got, np.full(got.shape, -1, dtype=np.int32), rows, x0, x1, rows)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_determinism_bitwise():
@@ -108,6 +125,47 @@ def test_frames_access_returns_a_fresh_array():
     after = frames[2]
     assert after.tobytes() == before
     assert not np.shares_memory(img, after)
+
+
+def test_frames_iteration_does_not_hide_an_index_error(monkeypatch):
+    """Sequence's default iteration ends at the first IndexError, so one
+    raised while rendering would silently cut the frames short."""
+    frames = generate_scene(_SEQ_CFG).frames
+
+    def broken(*args):
+        raise IndexError("inside rendering")
+
+    monkeypatch.setattr(synthsim, "_paint_streaks", broken)
+    with pytest.raises(IndexError, match="inside rendering"):
+        list(frames)
+
+
+def test_frames_slice_gives_a_list_of_fresh_frames():
+    frames = generate_scene(_SEQ_CFG).frames
+    got = frames[1:3]
+    assert isinstance(got, list)
+    assert [a.tobytes() for a in got] == [frames[1].tobytes(), frames[2].tobytes()]
+    assert [a.tobytes() for a in frames[::-3]] == [frames[f].tobytes() for f in (6, 3, 0)]
+    assert frames[5:2] == [] and len(frames[-100:100]) == len(frames)
+    got[0][...] = 123.0
+    assert frames[1:2][0].tobytes() != got[0].tobytes()
+
+
+def test_rendering_many_wide_streaks_stays_within_a_few_frames():
+    """1000 targets with 24-32 px streaks on a 64x64 canvas give about seven
+    frames' worth of streak samples. They are drawn in chunks, so one render
+    peaks near 6 times the frame's bytes; all samples at once took 37."""
+    cfg = ScenarioConfig(seed=3, frames=1, n_moving=1000, width=64, height=64, size_min=24.0,
+                         size_max=32.0, speed_min=1.0, speed_max=2.0, streak_gain=1.0)
+    frames = generate_scene(cfg).frames
+    tracemalloc.start()
+    try:
+        img = frames[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * img.nbytes, f"tracemalloc peak {peak} B, frame {img.nbytes} B"
+    assert img.tobytes() == ref.generate_scene(cfg).frames[0].tobytes()
 
 
 def test_generate_scene_memory_stays_bounded():

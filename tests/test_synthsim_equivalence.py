@@ -59,6 +59,16 @@ def _assert_scenes_equal(got, want):
 @example(ScenarioConfig(seed=6, frames=30, n_moving=40, width=40, height=40, size_max=12,
                         size_min=4, speed_min=10.0, speed_max=30.0, p_toggle=0.3))
 @example(ScenarioConfig(seed=7, n_static_occluders=0, noise_amplitude=0.0, streak_gain=0.0))
+# Sub-pixel targets: one-sample streaks, and centres that round onto row H
+# (two of them with a streak inside the canvas's columns).
+@example(ScenarioConfig(seed=0, frames=8, n_moving=10, width=8, height=8, size_min=0.25,
+                        size_max=0.75))
+# Targets faster than the canvas is wide: streaks run past its left and right edges.
+@example(ScenarioConfig(seed=9, frames=6, n_moving=12, width=48, height=48, size_min=4.0,
+                        size_max=12.0, speed_min=10.0, speed_max=60.0, streak_gain=0.5))
+# Moving targets without streaks.
+@example(ScenarioConfig(seed=11, frames=6, n_moving=8, width=48, height=48, speed_max=20.0,
+                        size_min=4.0, size_max=12.0, streak_gain=0.0))
 def test_generate_scene_matches_frozen_reference(cfg):
     _assert_scenes_equal(generate_scene(cfg), ref.generate_scene(cfg))
 
