@@ -11,7 +11,7 @@ from itertools import compress
 import numpy as np
 
 from ._solver import linear_sum_assignment
-from .core import BBox, Detection, TrajectorySet, as_xywh, iou, row_norms
+from .core import BBox, Detection, TrajectorySet, iou, row_norms
 from .motion import (Affine2x3, apply_cmc, boxes_to_measurements, kf_init,
                      kf_predict, kf_update, means_to_boxes)
 
@@ -113,7 +113,7 @@ class Tracker:
     in `_COLUMNS` is one track. `age` counts frames since the last match,
     `state` indexes `Lifecycle`, `emb` (N, D) is the appearance EMA where
     `has_emb` is set, D fixed by the first embedding seen, and `mean` (N, 8)
-    and `cov` (N, 8, 8) are the Kalman state. A frame updates and ages the
+    and `cov` (N, 2, 2, 6) are the Kalman state. A frame updates and ages the
     rows with masked array expressions. An append-only log keeps one
     (frame, ids, boxes) entry per frame for the matched and spawned rows,
     so a track's logged boxes number its hits; `trajectories()` reads it.
@@ -123,7 +123,7 @@ class Tracker:
     _COLUMNS = {"ids": (np.int64, ()), "hits": (np.int64, ()), "age": (np.int64, ()),
                 "state": (np.int8, ()), "cls": (np.int64, ()), "v_ema": (float, ()),
                 "emb": (float, (0,)), "has_emb": (bool, ()), "mean": (float, (8,)),
-                "cov": (float, (8, 8))}
+                "cov": (float, (2, 2, 6))}
 
     def __init__(self, cfg: TrackerConfig | None = None):
         self.cfg = cfg or TrackerConfig()
@@ -140,20 +140,26 @@ class Tracker:
                         map(_LIFECYCLES.__getitem__, self.state.tolist()),
                         self.hits.tolist(), self.age.tolist(), self.v_ema.tolist()))
 
-    def _detection_columns(self, dets: list[Detection]) -> tuple:
-        """One frame's detections as (x, y, w, h) boxes, scores, classes,
-        motion awareness (NaN if absent), and an embedding block as wide as
-        the table's, zero where absent, with its mask. The first embedding
-        seen fixes that width."""
-        vecs = [d.embedding for d in dets if d.embedding is not None]
+    def _detection_columns(self, frame: int, dets: list[Detection]) -> tuple:
+        """One frame's detections, all of `frame`, as (x, y, w, h) boxes,
+        scores, classes, motion awareness (NaN if absent), and an embedding
+        block as wide as the table's, zero where absent, with its mask. The
+        first embedding seen fixes that width."""
+        rows = [(d.frame, d.class_id, d.embedding is not None, d.bbox.x, d.bbox.y, d.bbox.w,
+                 d.bbox.h, d.score, np.nan if d.motion_awareness is None else d.motion_awareness)
+                for d in dets]
+        frames, cls, has, *table = zip(*rows) if rows else [()] * 9
+        if frames.count(frame) != len(rows):
+            raise ValueError("detections from mixed frames")
+        vecs = [d.embedding for d in compress(dets, has)]
         if vecs and not self.emb.shape[1]:
             self.emb = np.zeros((len(self.ids), len(vecs[0])))
-        has = np.array([d.embedding is not None for d in dets], dtype=bool)
+        has = np.array(has, dtype=bool)
         emb = np.zeros((len(dets), self.emb.shape[1]))
-        emb[has] = np.reshape(vecs, (len(vecs), emb.shape[1]))
-        ma = [np.nan if d.motion_awareness is None else d.motion_awareness for d in dets]
-        return (as_xywh([d.bbox for d in dets]), np.array([d.score for d in dets], dtype=float),
-                np.array([d.class_id for d in dets], dtype=np.int64), np.array(ma), emb, has)
+        if vecs:
+            emb[has] = np.reshape(vecs, (len(vecs), emb.shape[1]))
+        table = np.array(table, dtype=float)
+        return table[:4].T, table[4], np.array(cls, dtype=np.int64), table[5], emb, has
 
     def _update_tracks(self, rows, boxes, ma, emb, take):
         """Correct the matched rows, in match order, by their detections. Rows
@@ -170,14 +176,15 @@ class Tracker:
         self.age[rows] = 0
         confirm = (self.state[rows] == _LOST) | (self.hits[rows] >= self.cfg.n_init)
         self.state[rows[confirm]] = _CONF
-        # A row without an embedding takes the detection's as it is.
-        r, e = rows[take], emb[take]
-        mix = self.has_emb[r]
-        self.emb[r[~mix]], self.has_emb[r] = e[~mix], True
-        r, a = r[mix], self.cfg.ema_alpha
-        mixed = a * self.emb[r] + (1.0 - a) * e[mix]
-        n = row_norms(mixed)
-        self.emb[r[n > 0]] = mixed[n > 0] / n[n > 0, None]
+        if take.any():
+            # A row without an embedding takes the detection's as it is.
+            r, e = rows[take], emb[take]
+            mix = self.has_emb[r]
+            self.emb[r[~mix]], self.has_emb[r] = e[~mix], True
+            r, a = r[mix], self.cfg.ema_alpha
+            mixed = a * self.emb[r] + (1.0 - a) * e[mix]
+            n = row_norms(mixed)
+            self.emb[r[n > 0]] = mixed[n > 0] / n[n > 0, None]
         v_obs = np.where(np.isnan(ma), np.minimum(speeds / speed_max[1:], 1.0), ma)
         va = self.cfg.v_ema_alpha
         self.v_ema[rows] = np.clip(va * self.v_ema[rows] + (1.0 - va) * v_obs, 0.0, 1.0)
@@ -189,15 +196,13 @@ class Tracker:
         cfg = self.cfg
         if self._log and frame <= self._log[-1][0]:
             raise ValueError(f"frame {frame} does not follow frame {self._log[-1][0]}")
-        if any(d.frame != frame for d in detections):
-            raise ValueError("detections from mixed frames")
+        boxes, score, d_cls, d_ma, d_emb, d_has = self._detection_columns(frame, detections)
 
         if len(self.ids):
             if cmc is not None:
                 self.mean, self.cov = apply_cmc(self.mean, self.cov, cmc)
             self.mean, self.cov = kf_predict(self.mean, self.cov)
         pred_boxes = means_to_boxes(self.mean)
-        boxes, score, d_cls, d_ma, d_emb, d_has = self._detection_columns(detections)
         d_v = np.where(np.isnan(d_ma), 0.0, d_ma)  # motion awareness, 0 where absent
         high = np.flatnonzero(score >= cfg.tau_high)
         low = np.flatnonzero((cfg.tau_low <= score) & (score < cfg.tau_high))

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from sartrack.motion import (Affine2x3, apply_cmc, boxes_to_measurements, kf_init,
-                             kf_predict, kf_update, means_to_boxes)
+from sartrack.motion import (Affine2x3, apply_cmc, boxes_to_measurements, cov_to_dense,
+                             kf_init, kf_predict, kf_update, means_to_boxes)
 
 
 def init1(z):
-    """kf_init as an N=1 stack: (1, 8) mean and (1, 8, 8) covariance."""
+    """kf_init as an N=1 stack: (1, 8) mean and (1, 2, 2, 6) covariance."""
     mean, cov = kf_init(z)
     return mean[None], cov[None]
 
@@ -41,14 +41,15 @@ def test_means_to_boxes_clamps_aspect_and_height():
 
 
 def test_init_zero_velocity_and_spd_cov():
-    mean, cov = kf_init((10, 10, 1, 4))
-    assert mean.shape == (8,) and cov.shape == (8, 8)
+    mean, blocks = kf_init((10, 10, 1, 4))
+    assert mean.shape == (8,) and blocks.shape == (2, 2, 6)
+    cov = cov_to_dense(blocks)
     assert np.all(mean[4:] == 0)
     np.testing.assert_allclose(cov, cov.T)
     assert np.all(np.linalg.eigvalsh(cov) > 0)
     mean2, cov2 = kf_init((10, 10, 1, 4))
     np.testing.assert_array_equal(mean, mean2)
-    np.testing.assert_array_equal(cov, cov2)
+    np.testing.assert_array_equal(blocks, cov2)
 
 
 def test_init_rejects_nonpositive_height():
@@ -71,7 +72,7 @@ def test_predict_linear_motion():
 def test_predict_increases_trace():
     s = init1((0, 0, 1, 4))
     s2 = predict1(s)
-    assert np.trace(s2[1][0]) > np.trace(s[1][0])
+    assert np.trace(cov_to_dense(s2[1][0])) > np.trace(cov_to_dense(s[1][0]))
 
 
 def test_update_zero_innovation():
@@ -83,8 +84,9 @@ def test_update_zero_innovation():
 def test_update_contracts_position_variance():
     s = predict1(init1((3, 4, 1, 5)))
     _, cov = update1(s, (3.5, 4.5, 1, 5))
+    before, after = cov_to_dense(s[1][0]), cov_to_dense(cov[0])
     for i in range(4):
-        assert cov[0, i, i] <= s[1][0, i, i] + 1e-12
+        assert after[i, i] <= before[i, i] + 1e-12
 
 
 def test_repeated_updates_converge():
@@ -104,8 +106,16 @@ def test_covariance_symmetric_over_long_sequence():
     for _ in range(100):
         s = predict1(s)
         s = update1(s, s[0][0, :4] + rng.normal(0, 0.1, 4) * [1, 1, 0.01, 1])
-        cov = s[1][0]
+        cov = cov_to_dense(s[1][0])
         assert np.abs(cov - cov.T).max() < 1e-9
+
+
+def test_update_rejects_singular_innovation_covariance():
+    """A zero height gives zero measurement noise on cx, cy and h; with zero
+    variance there, the innovation covariance is singular."""
+    mean, cov = np.zeros((1, 8)), np.zeros((1, 2, 2, 6))
+    with pytest.raises(ValueError, match="singular"):
+        kf_update(mean, cov, np.zeros((1, 4)))
 
 
 def test_tracks_constant_velocity_truth():
@@ -127,7 +137,8 @@ def test_apply_cmc_translation():
     mean, cov = init1((1, 2, 1, 4))
     mean[0, 4:6] = [0.5, -0.5]
     m = Affine2x3(np.array([[1, 0, 5], [0, 1, 0]], dtype=float))
-    out, _ = apply_cmc(mean, cov, m)
+    out, out_cov = apply_cmc(mean, cov, m)
+    assert out_cov is cov  # a translation leaves the covariance alone
     np.testing.assert_allclose(out[0, :2], [6, 2])
     np.testing.assert_allclose(out[0, 4:6], [0.5, -0.5])
     np.testing.assert_allclose(out[0, 2:4], mean[0, 2:4])

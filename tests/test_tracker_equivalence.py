@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from sartrack import synthsim
 from sartrack.assoc import Tracker, TrackerConfig
 from sartrack.core import BBox, Detection
-from sartrack.motion import Affine2x3, apply_cmc, kf_init, kf_predict, kf_update
+from sartrack.motion import (_COL, _ROW, Affine2x3, apply_cmc, cov_to_dense, kf_init,
+                             kf_predict, kf_update)
 
 _SEED = st.integers(0, 2**32 - 1)
 
@@ -32,11 +33,12 @@ def _affine(rng, rotate):
 
 
 def _stack(states):
-    return np.stack([s.mean for s in states]), np.stack([s.cov for s in states])
+    return np.stack([s.mean for s in states]), np.stack([s.cov for s in states])[:, _ROW, _COL]
 
 
 def _assert_rows_equal(states, mean, cov):
-    assert mean.shape == (len(states), 8) and cov.shape == (len(states), 8, 8)
+    assert mean.shape == (len(states), 8) and cov.shape == (len(states), 2, 2, 6)
+    cov = cov_to_dense(cov)
     for i, s in enumerate(states):
         assert np.array_equal(mean[i], s.mean)
         assert np.array_equal(cov[i], s.cov)
@@ -52,7 +54,7 @@ def test_batched_filter_equals_reference_row_by_row(seed, n, steps, rotate):
     for z in _measurements(rng, n):
         mean, cov = kf_init(z)
         s = ref.kf_init(z)
-        assert np.array_equal(mean, s.mean) and np.array_equal(cov, s.cov)
+        assert np.array_equal(mean, s.mean) and np.array_equal(cov_to_dense(cov), s.cov)
     for _ in range(steps):
         m = _affine(rng, rotate)
         want = ref.apply_cmc(states, m)
@@ -65,6 +67,32 @@ def test_batched_filter_equals_reference_row_by_row(seed, n, steps, rotate):
         want = [ref.kf_update(s, zi) for s, zi in zip(states, z)]
         _assert_rows_equal(want, *kf_update(*_stack(states), z))
         states = want
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_filter_state_equals_reference_over_500_rounds(rotate):
+    """The stacked filter runs on its own state for 500 CMC -> predict ->
+    update rounds of 30 rows, equal to the reference after every round. A
+    per-axis filter that sums in another order drifts from the second
+    round. With `rotate`, half the rows are rotated every round, so rows
+    with and without cross terms share each predict and update."""
+    rng = np.random.default_rng(21)
+    z = _measurements(rng, 30)
+    states = [ref.kf_init(zi) for zi in z]
+    mean, cov = map(np.stack, zip(*map(kf_init, z)))
+    for _ in range(500):
+        m_rot, m_shift = _affine(rng, rotate), _affine(rng, False)
+        states = ref.apply_cmc(states[:15], m_rot) + ref.apply_cmc(states[15:], m_shift)
+        mean, cov = map(np.concatenate, zip(apply_cmc(mean[:15], cov[:15], m_rot),
+                                            apply_cmc(mean[15:], cov[15:], m_shift)))
+        states = [ref.kf_predict(s) for s in states]
+        mean, cov = kf_predict(mean, cov)
+        z = np.stack([s.mean[:4] for s in states]) + rng.normal(0.0, 1.0, (30, 4)) * [3, 3, 0.01, 1]
+        states = [ref.kf_update(s, zi) for s, zi in zip(states, z)]
+        mean, cov = kf_update(mean, cov, z)
+        _assert_rows_equal(states, mean, cov)
+    assert cov[:15, ..., 4:].any(axis=(1, 2, 3)).all() == rotate
+    assert not cov[15:, ..., 4:].any()
 
 
 @settings(max_examples=40, deadline=None)
@@ -92,8 +120,10 @@ _SCORES = (0.05, 0.1, 0.3, 0.59, 0.6, 0.61, 0.9, 1.0)
 
 def _scene(rng, n_targets, n_frames, n_classes, emb_dim, with_ma, with_cmc):
     """Constant-velocity targets with jitter and dropouts, plus clutter;
-    scores straddle tau_low and tau_high. Returns ({frame: detections},
-    {frame: Affine2x3 or None})."""
+    scores straddle tau_low and tau_high. With `with_cmc`, every frame's
+    camera motion is a translation, rotated by up to 0.2 rad on about a
+    third of the frames. Returns ({frame: detections}, {frame: Affine2x3 or
+    None})."""
     def unit(v):
         return v / np.linalg.norm(v)
 
@@ -121,8 +151,11 @@ def _scene(rng, n_targets, n_frames, n_classes, emb_dim, with_ma, with_cmc):
             frame.append(Detection(f, box, float(rng.choice(_SCORES)),
                                    int(rng.integers(0, n_classes)), None, emb))
         dets[f] = frame
-        cmc[f] = (Affine2x3(np.array([[1.0, 0.0, rng.normal()], [0.0, 1.0, rng.normal()]]))
-                  if with_cmc else None)
+        cmc[f] = None
+        if with_cmc:
+            theta = rng.uniform(-0.2, 0.2) if rng.random() < 0.3 else 0.0
+            c, s = np.cos(theta), np.sin(theta)
+            cmc[f] = Affine2x3(np.array([[c, -s, rng.normal()], [s, c, rng.normal()]]))
     return dets, cmc
 
 
@@ -130,9 +163,12 @@ def _assert_trackers_agree(dets, cmc, cfg, use_maa):
     """Step the array tracker and the frozen reference side by side; after
     every frame their emitted lists, live rows, appearance EMAs and Kalman
     state must be equal bit for bit, and so must the final trajectories.
-    The reference's `use_maa=False` is the array tracker at `tau_v = 0`."""
+    The reference's `use_maa=False` is the array tracker at `tau_v = 0`.
+    Returns the number of frames whose Kalman stack held both rows with
+    cross terms and rows without."""
     new = Tracker(cfg if use_maa else replace(cfg, tau_v=0.0))
     old = ref.Tracker(cfg, use_maa=use_maa)
+    mixed_stacks = 0
     for f in sorted(dets):
         assert new.step(f, dets[f], cmc[f]) == old.step(f, dets[f], cmc[f])
         # Live rows agree in order, bookkeeping and Kalman state.
@@ -143,13 +179,17 @@ def _assert_trackers_agree(dets, cmc, cfg, use_maa):
                  for t in live_old])
         old_mean = np.array([t.kstate.mean for t in live_old]).reshape(-1, 8)
         old_cov = np.array([t.kstate.cov for t in live_old]).reshape(-1, 8, 8)
-        assert np.array_equal(new.mean, old_mean) and np.array_equal(new.cov, old_cov)
+        assert np.array_equal(new.mean, old_mean)
+        assert np.array_equal(cov_to_dense(new.cov), old_cov)
+        coupled = new.cov[..., 4:].any(axis=(1, 2, 3))
+        mixed_stacks += bool(coupled.any() and not coupled.all())
         # The appearance EMA is the one place where batching could change bits.
         assert new.has_emb.tolist() == [t.ema_embedding is not None for t in live_old]
         for row, t in zip(new.emb, live_old):
             if t.ema_embedding is not None:
                 assert np.array_equal(row, t.ema_embedding)
     assert new.trajectories() == old.trajectories()
+    return mixed_stacks
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,6 +202,14 @@ def test_tracker_equals_reference(seed, n_targets, n_frames, n_classes, emb_dim,
     rng = np.random.default_rng(seed)
     dets, cmc = _scene(rng, n_targets, n_frames, n_classes, emb_dim, with_ma, with_cmc)
     _assert_trackers_agree(dets, cmc, TrackerConfig(n_init=n_init, max_age=max_age), use_maa)
+
+
+def test_tracker_equals_reference_with_rotated_cmc():
+    """Tracks alive at a rotated camera motion carry cross terms from then
+    on, while tracks spawned later have none; both share one stack."""
+    rng = np.random.default_rng(4)
+    dets, cmc = _scene(rng, 6, 25, 2, 4, True, True)
+    assert _assert_trackers_agree(dets, cmc, TrackerConfig(n_init=2, max_age=3), True) > 0
 
 
 @pytest.mark.parametrize("use_maa", [True, False])
