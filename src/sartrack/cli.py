@@ -64,8 +64,9 @@ def cmd_eval(args) -> int:
     gt_frames = gt.frames()
     extra = [f for f in pred.frames() if f < gt_frames[0] or f > gt_frames[-1]]
     if extra:
+        shown = ", ".join(map(str, extra[:5])) + (", ..." if len(extra) > 5 else "")
         raise DataError(
-            f"{args.res}: frames {extra[:5]}... fall outside the range "
+            f"{args.res}: {len(extra)} frame(s) [{shown}] fall outside the range "
             f"[{gt_frames[0]}, {gt_frames[-1]}] of {args.gt}")
     rep = metrics.evaluate(gt, pred, args.iou)
     values = [f"{rep.mota:.3f}", str(rep.idsw), str(rep.mt), str(rep.ml),

@@ -6,7 +6,10 @@ downward (MOTChallenge convention). Frame indices are 1-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,24 +44,30 @@ class BBox:
         return (self.cx, self.cy)
 
 
+_XYWH = attrgetter("x", "y", "w", "h")
+
+
 def as_xywh(boxes) -> np.ndarray:
     """A sequence of BBox, or an array of (x, y, w, h) rows, as (N, 4)."""
     if isinstance(boxes, np.ndarray):
         return boxes.reshape(-1, 4)
-    return np.array([(r.x, r.y, r.w, r.h) for r in boxes], dtype=float).reshape(-1, 4)
+    return np.fromiter(chain.from_iterable(map(_XYWH, boxes)), float).reshape(-1, 4)
+
+
+def iou_of(a, b) -> np.ndarray:
+    """Intersection-over-union of boxes given as (x, y, w, h) columns, where
+    a's columns broadcast against b's; the one IoU formula."""
+    (ax, ay, aw, ah), (bx, by, bw, bh) = a, b
+    inter = ((np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)).clip(min=0.0)
+             * (np.minimum(ay + ah, by + bh) - np.maximum(ay, by)).clip(min=0.0))
+    return inter / (aw * ah + bw * bh - inter)
 
 
 def iou(boxes_a, boxes_b) -> np.ndarray:
     """Pairwise intersection-over-union of two box sets, each a sequence of
     BBox or an (N, 4) array of (x, y, w, h) rows; shape
     (len(boxes_a), len(boxes_b)), values in [0, 1]."""
-    a, b = as_xywh(boxes_a), as_xywh(boxes_b)
-    ix = (np.minimum((a[:, 0] + a[:, 2])[:, None], (b[:, 0] + b[:, 2])[None, :])
-          - np.maximum(a[:, None, 0], b[None, :, 0])).clip(min=0.0)
-    iy = (np.minimum((a[:, 1] + a[:, 3])[:, None], (b[:, 1] + b[:, 3])[None, :])
-          - np.maximum(a[:, None, 1], b[None, :, 1])).clip(min=0.0)
-    inter = ix * iy
-    return inter / ((a[:, 2] * a[:, 3])[:, None] + (b[:, 2] * b[:, 3])[None, :] - inter)
+    return iou_of(as_xywh(boxes_a).T[:, :, None], as_xywh(boxes_b).T)
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -111,6 +120,7 @@ class TrajectorySet:
     """
 
     tracks: tuple[tuple[int, tuple[tuple[int, BBox], ...]], ...] = ()
+    _flat: "FlatBoxes | None" = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, tracks) -> "TrajectorySet":
@@ -141,4 +151,28 @@ class TrajectorySet:
 
     def by_id(self) -> dict[int, dict[int, BBox]]:
         return {tid: {f: b for f, b in seq} for tid, seq in self.tracks}
+
+    def flat(self) -> "FlatBoxes":
+        """Every box as columns, ordered by frame and then by row (a track's
+        index in ``.tracks``); computed on the first call and kept."""
+        if self._flat is None:
+            seqs = [seq for _, seq in self.tracks]
+            frame_of = [f for seq in seqs for f, _ in seq]
+            frames = sorted(set(frame_of))
+            pos = {f: i for i, f in enumerate(frames)}
+            frame = np.array([pos[f] for f in frame_of], dtype=np.intp)
+            order = np.argsort(frame, kind="stable")
+            row = np.repeat(np.arange(len(seqs)), [len(seq) for seq in seqs])
+            cols = as_xywh([b for seq in seqs for _, b in seq])[order].T.copy()
+            object.__setattr__(self, "_flat", FlatBoxes(frames, frame[order], row[order], cols))
+        return self._flat
+
+
+class FlatBoxes(NamedTuple):
+    """A TrajectorySet's boxes as columns, one entry per box."""
+
+    frames: list[int]  # the distinct frames, ascending
+    frame: np.ndarray  # each box's index into ``frames``
+    row: np.ndarray  # each box's track index in ``TrajectorySet.tracks``
+    cols: np.ndarray  # (4, N): each box's x, y, w and h
 

@@ -178,15 +178,35 @@ def test_eval_empty_gt_is_data_error(capsys, tmp_path):
     assert "empty" in err
 
 
-def test_eval_out_of_range_frames(capsys, tmp_path):
+@pytest.mark.parametrize("frames, listed", [
+    ([5], "1 frame(s) [5] fall"),
+    ([30], "1 frame(s) [30] fall"),
+    (range(3, 10), "7 frame(s) [3, 4, 5, 6, 7, ...] fall"),
+])
+def test_eval_out_of_range_frames(capsys, tmp_path, frames, listed):
+    """The message counts the frames outside the ground truth's range and
+    lists the first five, with an ellipsis only when it leaves some out."""
     gt = tmp_path / "gt.txt"
     res = tmp_path / "res.txt"
     gt.write_text("1,1,0,0,4,4,1,0,1\n2,1,0,0,4,4,1,0,1\n")
-    res.write_text("5,1,0,0,4,4,1,-1,-1\n")
+    res.write_text("".join(f"{f},1,0,0,4,4,1,-1,-1\n" for f in frames))
     code, _, err = run(capsys, "eval", "--gt", str(gt), "--res", str(res))
     assert code == 2
     assert "range" in err
     assert str(gt) in err and str(res) in err
+    assert listed in err
+    assert err.count("...") == (len(frames) > 5)
+
+
+def test_eval_scores_frames_beyond_int64(capsys, tmp_path):
+    """Frames past 2**63 read exactly and are keyed by position, not by
+    their value as an int64: a file scored against itself is perfect."""
+    big = 2**70
+    gt = tmp_path / "gt.txt"
+    gt.write_text(f"{big},1,10,10,8,8,1,0,1\n{big + 1},1,11,10,8,8,1,0,1\n")
+    code, table, _ = run(capsys, "eval", "--gt", str(gt), "--res", str(gt), "--tsv")
+    assert code == 0
+    assert table.splitlines()[1] == "\t".join(["1.000", "0", "1", "0"] + ["1.000"] * 6)
 
 
 @pytest.mark.parametrize("iou", ["0", "-1", "1.5", "nan"])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sartrack.core import BBox, TrajectorySet
+from sartrack import metrics
+from sartrack.core import BBox, TrajectorySet, iou
 from sartrack.metrics import HOTA_ALPHAS, clear_mot, evaluate, hota, id_metrics
 
 
@@ -263,6 +264,27 @@ def trajectory_pairs(draw):
     return traj(gt_tracks), traj([(p, sorted(seq.items())) for p, seq in pred.items()])
 
 
+@st.composite
+def clustered_pairs(draw):
+    """Random GT and prediction sets of up to 10 tracks each on continuous
+    coordinates, with every box near one of a few centres, so that a frame
+    often holds 2x2, 3x3 and larger overlap components."""
+    n_frames = draw(st.integers(1, 4))
+    centres = draw(st.lists(st.tuples(st.floats(0, 80), st.floats(0, 80)), min_size=1, max_size=3))
+    frames_of = st.lists(st.integers(1, n_frames), min_size=1, max_size=n_frames, unique=True)
+
+    def box():
+        cx, cy = draw(st.sampled_from(centres))
+        return BBox(cx + draw(st.floats(-5, 5)), cy + draw(st.floats(-5, 5)),
+                    draw(st.floats(4, 12)), draw(st.floats(4, 12)))
+
+    def tracks(first_id):
+        return traj([(first_id + i, [(f, box()) for f in sorted(draw(frames_of))])
+                     for i in range(draw(st.integers(0, 10)))])
+
+    return tracks(1), tracks(101)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -274,8 +296,8 @@ _B = BBox(0, 0, 10, 4)
 
 
 @pytest.mark.parametrize("iou_thr", [0.3, 0.5])
-@settings(max_examples=150, deadline=None)
-@given(trajectory_pairs())
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(trajectory_pairs(), clustered_pairs()))
 # Pinned: in frame 2 the carried pairing sits at IoU exactly 0.5 while an
 # exact copy under another id would win a fresh assignment.
 @example(pair=(traj([(1, [(1, _B), (2, _B)])]),
@@ -285,3 +307,70 @@ def test_metrics_equal_frozen_scalar_reference(iou_thr, pair):
     assert _outcome(clear_mot, gt, pred, iou_thr) == _outcome(ref.clear_mot, gt, pred, iou_thr)
     assert id_metrics(gt, pred, iou_thr) == ref.id_metrics(gt, pred, iou_thr)
     assert _outcome(hota, gt, pred) == _outcome(ref.hota, gt, pred)
+
+
+def _square(x, y=0):
+    return BBox(x, y, 10, 10)
+
+
+# One frame each, boxes 10 x 10 on one row unless noted. A gt box at x = 0
+# and a prediction at x = 5 or -5 overlap by half: IoU 1/3 either way.
+_COMPONENTS = {
+    # Solved in numpy: a star's best pair, a 2x2 path's end pairs, the
+    # diagonal of a 2x2 with more IoU (2/3 + 2/3 against 3/7 + 3/7).
+    "star": ([_square(0)], [_square(5), _square(-4)]),
+    "2x2-path": ([_square(0), _square(12)], [_square(5), _square(-4)]),
+    "2x2": ([_square(0), _square(6)], [_square(2), _square(4)]),
+    # Sent to the solver: a star with two equal pairs, a 2x2 whose diagonals
+    # tie (all four pairs at 1/7), and a 3x3 chain.
+    "star-tie": ([_square(0)], [_square(5), _square(-5)]),
+    "2x2-tie": ([_square(0), _square(10)], [_square(5, -5), _square(5, 5)]),
+    "3x3": ([_square(0), _square(6), _square(12)], [_square(2), _square(8), _square(14)]),
+}
+
+
+def _one_frame(boxes, first_id):
+    """Each box as a track of its own over frames 1 and 2."""
+    return traj([(first_id + i, [(1, b), (2, b)]) for i, b in enumerate(boxes)])
+
+
+@pytest.mark.parametrize("name", _COMPONENTS)
+def test_components_equal_frozen_reference(name, monkeypatch):
+    """hota takes forced and clear optima without the solver, and solves a
+    frame whole when a component ties or is larger than 2x2; every family
+    scores as the reference does either way."""
+    gt_boxes, pred_boxes = _COMPONENTS[name]
+    gt, pred = _one_frame(gt_boxes, 1), _one_frame(pred_boxes, 11)
+    for iou_thr in (0.1, 0.3, 0.5):
+        assert clear_mot(gt, pred, iou_thr) == ref.clear_mot(gt, pred, iou_thr)
+        assert id_metrics(gt, pred, iou_thr) == ref.id_metrics(gt, pred, iou_thr)
+    calls, solve = [], metrics.linear_sum_assignment
+    monkeypatch.setattr(metrics, "linear_sum_assignment",
+                        lambda cost: calls.append(cost.shape) or solve(cost))
+    assert hota(gt, pred) == ref.hota(gt, pred)
+    solved = name.endswith("-tie") or name == "3x3"
+    assert bool(calls) == solved
+    assert all(shape == (len(gt_boxes), len(pred_boxes)) for shape in calls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_overlap_pairs_are_the_positive_cells_of_each_frame(data):
+    """The grid kernel finds every pair with IoU > 0, and no other, with
+    core.iou's bits, at any scale of boxes and coordinates."""
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    offset = data.draw(st.sampled_from([0.0, -1e6, 1e9]))
+    coord = st.floats(-20, 20).map(lambda v: offset + scale * v)
+    side = st.floats(0.5, 10).map(lambda v: scale * v)
+    boxes = st.lists(st.tuples(st.integers(1, 3), st.builds(BBox, coord, coord, side, side)),
+                     max_size=12)
+    gt, pred = (traj([(i, [fb]) for i, fb in enumerate(data.draw(boxes))]) for _ in range(2))
+    pairs = metrics._pairs(gt, pred)
+    found = {(pairs.g_row[g], pairs.p_row[p]): v for g, p, v in zip(pairs.gi, pairs.pj, pairs.v)}
+    want = {}
+    for i, (_, [(f, a)]) in enumerate(gt.tracks):
+        for j, (_, [(h, b)]) in enumerate(pred.tracks):
+            v = iou([a], [b])[0, 0]
+            if f == h and v > 0:
+                want[i, j] = v
+    assert found == want

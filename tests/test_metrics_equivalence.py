@@ -83,13 +83,30 @@ def _counted(module, monkeypatch) -> list:
     return calls
 
 
+def _is_subsequence(ours, theirs) -> bool:
+    rest = iter(theirs)
+    return all(shape in rest for shape in ours)
+
+
 @pytest.mark.parametrize("family", ["clear_mot", "id_metrics", "hota"])
 def test_solver_calls_equal_frozen_reference(scene_pair, family, monkeypatch):
-    """Each family solves as often as the reference, on matrices of the same
-    shapes, so it never runs the solver on a matrix with an empty side."""
+    """Each family solves only matrices that the reference solves, in the
+    reference's order and with the same shapes, so never one with an empty
+    side. clear_mot and hota take the components whose optimum is clear
+    without the solver; id_metrics solves its one padded matrix as before."""
     gt, pred = scene_pair
     ours, theirs = _counted(metrics, monkeypatch), _counted(ref, monkeypatch)
     getattr(metrics, family)(gt, pred)
     getattr(ref, family)(gt, pred)
-    assert ours == theirs
+    assert _is_subsequence(ours, theirs)
     assert all(min(shape) > 0 for shape in ours)
+    if family == "id_metrics":
+        assert ours == theirs
+
+
+def test_hota_solves_at_most_a_fifth_of_frozen_reference(monkeypatch):
+    gt, pred = _tracked_scene()
+    ours, theirs = _counted(metrics, monkeypatch), _counted(ref, monkeypatch)
+    metrics.hota(gt, pred)
+    ref.hota(gt, pred)
+    assert 5 * len(ours) <= len(theirs)
