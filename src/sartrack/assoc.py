@@ -11,7 +11,7 @@ from itertools import compress
 import numpy as np
 
 from ._solver import linear_sum_assignment
-from .core import BBox, Detection, TrajectorySet, iou, row_norms
+from .core import BBox, Detection, DetectionBlock, TrajectorySet, iou, row_norms
 from .motion import (Affine2x3, apply_cmc, boxes_to_measurements, kf_init,
                      kf_predict, kf_update, means_to_boxes)
 
@@ -140,27 +140,6 @@ class Tracker:
                         map(_LIFECYCLES.__getitem__, self.state.tolist()),
                         self.hits.tolist(), self.age.tolist(), self.v_ema.tolist()))
 
-    def _detection_columns(self, frame: int, dets: list[Detection]) -> tuple:
-        """One frame's detections, all of `frame`, as (x, y, w, h) boxes,
-        scores, classes, motion awareness (NaN if absent), and an embedding
-        block as wide as the table's, zero where absent, with its mask. The
-        first embedding seen fixes that width."""
-        rows = [(d.frame, d.class_id, d.embedding is not None, d.bbox.x, d.bbox.y, d.bbox.w,
-                 d.bbox.h, d.score, np.nan if d.motion_awareness is None else d.motion_awareness)
-                for d in dets]
-        frames, cls, has, *table = zip(*rows) if rows else [()] * 9
-        if frames.count(frame) != len(rows):
-            raise ValueError("detections from mixed frames")
-        vecs = [d.embedding for d in compress(dets, has)]
-        if vecs and not self.emb.shape[1]:
-            self.emb = np.zeros((len(self.ids), len(vecs[0])))
-        has = np.array(has, dtype=bool)
-        emb = np.zeros((len(dets), self.emb.shape[1]))
-        if vecs:
-            emb[has] = np.reshape(vecs, (len(vecs), emb.shape[1]))
-        table = np.array(table, dtype=float)
-        return table[:4].T, table[4], np.array(cls, dtype=np.int64), table[5], emb, has
-
     def _update_tracks(self, rows, boxes, ma, emb, take):
         """Correct the matched rows, in match order, by their detections. Rows
         where `take` is set fold `emb` into their appearance EMA; it is unset
@@ -189,14 +168,22 @@ class Tracker:
         va = self.cfg.v_ema_alpha
         self.v_ema[rows] = np.clip(va * self.v_ema[rows] + (1.0 - va) * v_obs, 0.0, 1.0)
 
-    def step(self, frame: int, detections: list[Detection],
+    def step(self, frame: int, detections: DetectionBlock | list[Detection],
              cmc: Affine2x3 | None = None) -> list[tuple[int, BBox]]:
         """Advance one frame, later than the last; returns (id, box) for
-        confirmed tracks matched this frame."""
+        confirmed tracks matched this frame. The first embedding seen fixes
+        the width of the table's."""
         cfg = self.cfg
         if self._log and frame <= self._log[-1][0]:
             raise ValueError(f"frame {frame} does not follow frame {self._log[-1][0]}")
-        boxes, score, d_cls, d_ma, d_emb, d_has = self._detection_columns(frame, detections)
+        block = (detections if isinstance(detections, DetectionBlock)
+                 else DetectionBlock.of(frame, detections))
+        if block.frame != frame:
+            raise ValueError(f"detections of frame {block.frame} stepped as frame {frame}")
+        if block.emb.shape[1] and not self.emb.shape[1] and block.has_emb.any():
+            self.emb = np.zeros((len(self.ids), block.emb.shape[1]))
+        boxes, score, d_cls, d_ma = block.boxes, block.score, block.class_id, block.ma
+        d_emb, d_has = block.embeddings(self.emb.shape[1]), block.has_emb
 
         if len(self.ids):
             if cmc is not None:
@@ -260,7 +247,7 @@ class Tracker:
             dj = np.concatenate([dj, rest_high])
             matched = np.concatenate([matched, np.ones(k, dtype=bool)])
         ids, state = self.ids[rows], self.state
-        out_boxes = [detections[j].bbox for j in dj]
+        out_boxes = block.bboxes(dj)
         self._log.append((frame, ids, out_boxes))
         emitted = list(compress(zip(ids.tolist(), out_boxes), (state[rows] == _CONF).tolist()))
 
@@ -289,7 +276,7 @@ class Tracker:
                                    if len(seqs[tid]) >= self.cfg.n_init))
 
 
-def track_sequence(frame_detections: dict[int, list[Detection]],
+def track_sequence(frame_detections: dict[int, DetectionBlock | list[Detection]],
                    cmc_by_frame: dict[int, Affine2x3] | None = None,
                    cfg: TrackerConfig | None = None) -> TrajectorySet:
     """Run the tracker over a whole sequence and collect trajectories. A frame

@@ -6,8 +6,10 @@ downward (MOTChallenge convention). Frame indices are 1-based.
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -52,6 +54,22 @@ def as_xywh(boxes) -> np.ndarray:
     if isinstance(boxes, np.ndarray):
         return boxes.reshape(-1, 4)
     return np.fromiter(chain.from_iterable(map(_XYWH, boxes)), float).reshape(-1, 4)
+
+
+_FILL_XYWH = tuple(BBox.__dict__[k].__set__ for k in ("x", "y", "w", "h"))
+
+
+def to_bboxes(boxes: np.ndarray) -> list[BBox]:
+    """The rows of an (N, 4) array of (x, y, w, h) as BBoxes. The sides are
+    checked once for all rows, and each box is then filled in through its
+    slots without running the check again (about four times faster)."""
+    ok = (boxes[:, 2] > 0) & (boxes[:, 3] > 0)
+    if not ok.all():
+        BBox(*boxes[np.argmin(ok)].tolist())  # raises the first bad box's error
+    out = [object.__new__(BBox) for _ in range(len(boxes))]
+    for fill, col in zip(_FILL_XYWH, boxes.T.tolist()):
+        deque(map(fill, out, col), maxlen=0)
+    return out
 
 
 def iou_of(a, b) -> np.ndarray:
@@ -109,6 +127,78 @@ class Detection:
             if abs(n - 1.0) > 1e-6:
                 raise ValueError(f"embedding must be unit norm, got norm {n}")
             object.__setattr__(self, "embedding", emb)
+
+
+def embedding_dim_error(frame, index, dim, expected) -> ValueError:
+    """The error for detection ``index`` of ``frame`` whose embedding has
+    ``dim`` values where the first one seen had ``expected``."""
+    return ValueError(f"frame {frame} detection {index}: embedding of dimension {dim}, "
+                      f"expected {expected}")
+
+
+class DetectionBlock(Sequence):
+    """One frame's detections as columns: ``boxes`` (N, 4) of (x, y, w, h),
+    ``score``, ``class_id`` (int64), ``ma`` (motion awareness, NaN where
+    absent), and ``emb`` (N, D) with its mask ``has_emb`` (rows without an
+    embedding are zero). Indexing builds each Detection when asked for;
+    a block made by ``of`` hands back the Detections it was made from."""
+
+    __slots__ = ("frame", "boxes", "score", "class_id", "ma", "emb", "has_emb", "_dets")
+
+    def __init__(self, frame, boxes, score, class_id, ma, emb, has_emb, dets=None):
+        self.frame, self.boxes, self.score, self.class_id = frame, boxes, score, class_id
+        self.ma, self.emb, self.has_emb, self._dets = ma, emb, has_emb, dets
+
+    @classmethod
+    def of(cls, frame: int, dets) -> "DetectionBlock":
+        """The columns of Detections that all belong to ``frame``; their
+        embeddings must share one dimension."""
+        dets = list(dets)
+        rows = [(d.frame, d.class_id, d.embedding is not None, d.bbox.x, d.bbox.y, d.bbox.w,
+                 d.bbox.h, d.score, np.nan if d.motion_awareness is None else d.motion_awareness)
+                for d in dets]
+        frames, cls_ids, has, *table = zip(*rows) if rows else [()] * 9
+        if frames.count(frame) != len(rows):
+            raise ValueError("detections from mixed frames")
+        vecs = [d.embedding for d in compress(dets, has)]
+        has = np.array(has, dtype=bool)
+        emb = np.zeros((len(dets), len(vecs[0]) if vecs else 0))
+        if vecs:
+            for j, v in zip(np.flatnonzero(has).tolist(), vecs):
+                if len(v) != emb.shape[1]:
+                    raise embedding_dim_error(frame, j, len(v), emb.shape[1])
+            emb[has] = np.reshape(vecs, (len(vecs), emb.shape[1]))
+        table = np.array(table, dtype=float)
+        return cls(frame, table[:4].T, table[4], np.array(cls_ids, dtype=np.int64), table[5],
+                   emb, has, dets)
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, i) -> Detection:
+        if self._dets is not None:
+            return self._dets[i]
+        i = range(len(self))[i]
+        ma = self.ma[i].item()
+        return Detection(self.frame, BBox(*self.boxes[i].tolist()), self.score[i].item(),
+                         int(self.class_id[i]), None if math.isnan(ma) else ma,
+                         self.emb[i] if self.has_emb[i] else None)
+
+    def bboxes(self, idx) -> list[BBox]:
+        """The boxes of the detections at ``idx``."""
+        if self._dets is not None:
+            return [self._dets[j].bbox for j in idx]
+        return to_bboxes(self.boxes[idx])
+
+    def embeddings(self, dim: int) -> np.ndarray:
+        """``emb`` as ``dim`` columns: zeros if the block has no embedding,
+        else an error at its first one unless ``dim`` is its width."""
+        if self.emb.shape[1] == dim:
+            return self.emb
+        if not self.has_emb.any():
+            return np.zeros((len(self), dim))
+        j = int(np.argmax(self.has_emb))
+        raise embedding_dim_error(self.frame, j, self.emb.shape[1], dim)
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,17 +14,20 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import os
 import re
 import struct
 import sys
 import typing
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby
+from itertools import accumulate, compress, groupby, repeat
 
 import numpy as np
 
-from .core import COORD_MAX, BBox, Detection, TrajectorySet, row_norms
+from .core import (COORD_MAX, BBox, Detection, DetectionBlock, TrajectorySet, as_xywh,
+                   embedding_dim_error, row_norms, to_bboxes)
 from .lfa import Proposal
 from .motion import Affine2x3
 
@@ -114,11 +117,12 @@ def _read_table(path, delimiter: str | None) -> tuple[list[int], np.ndarray] | N
             or data.count(b"\r") != data.count(b"\r\n")):
         return None
     lines = data.decode("ascii").replace("\r\n", "\n").split("\n")
-    line_nos = [i for i, line in enumerate(lines, start=1) if line.strip()]
+    nonblank = list(map(str.strip, lines))
+    line_nos = list(compress(range(1, len(lines) + 1), nonblank))
     if not line_nos:
         return None
     try:
-        rows = np.loadtxt([lines[i - 1] for i in line_nos], delimiter=delimiter,
+        rows = np.loadtxt(list(compress(lines, nonblank)), delimiter=delimiter,
                           comments=None, ndmin=2)
     except ValueError:  # a field that is no number, or a changing column count
         return None
@@ -135,8 +139,8 @@ def _integral(cols: np.ndarray) -> bool:
 
 def _table(path, delimiter: str | None, int_cols, width_error, width: int) -> tuple:
     """A numeric text file as (line numbers, float rows padded with NaN to at
-    least ``width`` columns, one list of exact ints per column in
-    ``int_cols``, the first tokenizing ParseError or None). ``width_error(n)``
+    least ``width`` columns, one ``_int_column`` per column in ``int_cols``,
+    the first tokenizing ParseError or None). ``width_error(n)``
     words what is wrong with a line of n fields, or is None.
 
     A plain file is read in bulk if its width passes and its int columns are
@@ -146,8 +150,9 @@ def _table(path, delimiter: str | None, int_cols, width_error, width: int) -> tu
     table = _read_table(path, delimiter)
     if table and width_error(table[1].shape[1]) is None and _integral(table[1][:, int_cols]):
         line_nos, rows = table
-        ints, err = rows[:, int_cols].astype(np.int64).T.tolist(), None
-        rows = np.pad(rows, ((0, 0), (0, max(width - rows.shape[1], 0))), constant_values=np.nan)
+        ints, err = list(rows[:, int_cols].astype(np.int64).T), None
+        if rows.shape[1] < width:
+            rows = np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=np.nan)
     else:
         line_nos, vals, err = [], [], None
         try:
@@ -161,8 +166,16 @@ def _table(path, delimiter: str | None, int_cols, width_error, width: int) -> tu
             err = e
         n = max([width, *map(len, vals)])
         rows = np.array([v + [math.nan] * (n - len(v)) for v in vals], dtype=float).reshape(-1, n)
-        ints = [[v[i] for v in vals] for i in int_cols]
+        ints = [_int_column([v[i] for v in vals]) for i in int_cols]
     return line_nos, rows, ints, err
+
+
+def _int_column(values) -> np.ndarray:
+    """Exact ints as int64, or as an object array if one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def _check(path, line_nos, err, checks) -> None:
@@ -184,64 +197,205 @@ def _repeats(keys: list) -> np.ndarray:
     return np.array([first.setdefault(k, i) != i for i, k in enumerate(keys)], dtype=bool)
 
 
-def parse_mot_file(path) -> list[MotRecord]:
-    """Records sorted by frame (stable); 9 or 10 comma-separated columns."""
+class MotTable(Sequence):
+    """MOT records as columns: ``frame``, ``track_id`` and ``class_id``
+    (``_int_column``s), and views of ``cols`` (N, 7): ``boxes`` (N, 4),
+    ``conf``, ``visibility`` and ``ma`` (motion awareness, NaN where absent).
+    Indexing builds each MotRecord when asked for, with its ``(path, line)``
+    source; a table made by ``of`` hands back the records it was made from.
+    A table equals any sequence of equal records."""
+
+    __slots__ = ("frame", "track_id", "class_id", "boxes", "conf", "visibility", "ma",
+                 "_path", "_line_nos", "_records")
+
+    def __init__(self, frame, track_id, class_id, cols, path=None, line_nos=None, records=None):
+        self.frame, self.track_id, self.class_id = frame, track_id, class_id
+        self.boxes, self.conf, self.visibility, self.ma = cols[:, :4], *cols[:, 4:].T
+        self._path, self._line_nos, self._records = path, line_nos, records
+
+    @classmethod
+    def of(cls, records) -> "MotTable":
+        """The columns of MotRecords, in their order. A motion awareness
+        that is NaN, not None, is kept as inf, which the range check turns
+        back."""
+        records = list(records)
+        cols = np.array([(r.x, r.y, r.w, r.h, r.conf, r.visibility, math.nan if r.motion_awareness
+                          is None else r.motion_awareness) for r in records], float).reshape(-1, 7)
+        given = np.array([r.motion_awareness is not None for r in records], dtype=bool)
+        cols[np.isnan(cols[:, 6]) & given, 6] = math.inf
+        return cls(*(_int_column([getattr(r, k) for r in records])
+                     for k in ("frame", "track_id", "class_id")), cols, records=records)
+
+    def _build(self, rows: slice) -> list[MotRecord]:
+        if self._records is not None:
+            return self._records[rows]
+        x, y, w, h = self.boxes[rows].T.tolist()
+        ma = [None if math.isnan(v) else v for v in self.ma[rows].tolist()]
+        return list(map(MotRecord, self.frame[rows].tolist(), self.track_id[rows].tolist(),
+                        x, y, w, h, self.conf[rows].tolist(), self.class_id[rows].tolist(),
+                        self.visibility[rows].tolist(), ma,
+                        [(self._path, n) for n in self._line_nos[rows]]))
+
+    def __len__(self) -> int:
+        return len(self.conf)
+
+    def __getitem__(self, i) -> MotRecord:
+        i = range(len(self))[i]
+        return self._build(slice(i, i + 1))[0]
+
+    def __iter__(self):
+        return iter(self._build(slice(None)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"MotTable({self._build(slice(None))!r})"
+
+
+def parse_mot_file(path) -> MotTable:
+    """The records as a MotTable sorted by frame (stable); 9 or 10
+    comma-separated columns."""
     line_nos, rows, (frame, tid, cls), err = _table(
         path, ",", (0, 1, 7), lambda n: None if n in (9, 10) else
         f"expected 9 or 10 columns, got {n}", 10)
-    _, _, x, y, w, h, conf, _, vis, ma = rows.T.tolist()
     _check(path, line_nos, err, [
         (rows[:, 0] < 1, lambda i: f"frame must be >= 1, got {frame[i]}"),
-        ((rows[:, 4] <= 0) | (rows[:, 5] <= 0), lambda i: f"nonpositive box size {w[i]}x{h[i]}"),
+        ((rows[:, 4] <= 0) | (rows[:, 5] <= 0),
+         lambda i: f"nonpositive box size {rows[i, 4].item()}x{rows[i, 5].item()}"),
         (np.abs(rows[:, 2:6]).max(axis=1) > COORD_MAX,
          lambda i: f"box coordinate beyond {COORD_MAX:.0f} px"),
         ((rows[:, 9] < 0) | (rows[:, 9] > 1),
-         lambda i: f"motion awareness must be in [0,1], got {ma[i]}"),
+         lambda i: f"motion awareness must be in [0,1], got {rows[i, 9].item()}"),
     ])
-    ma = [None if math.isnan(v) else v for v in ma]
-    records = list(map(MotRecord, frame, tid, x, y, w, h, conf, cls, vis, ma,
-                       [(path, n) for n in line_nos]))
-    records.sort(key=lambda r: r.frame)
-    return records
+    order = np.argsort(frame, kind="stable")
+    cols = rows[np.ix_(order, [2, 3, 4, 5, 6, 8, 9])]
+    return MotTable(frame[order], tid[order], cls[order], cols, path,
+                    [line_nos[i] for i in order.tolist()])
 
 
-def records_to_detections(records: list[MotRecord],
-                          embeddings: dict | None = None) -> dict[int, list[Detection]]:
-    """Group records into per-frame Detection lists; a record that makes no
-    Detection is an error at its line.
+def _runs(keys: np.ndarray) -> np.ndarray:
+    """Whether each entry of a sorted key column starts a run of equal keys."""
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return first
+
+
+def records_to_detections(records: Sequence[MotRecord],
+                          embeddings: dict | None = None) -> dict[int, DetectionBlock]:
+    """Group records into one DetectionBlock per frame, in frame order. A
+    record that makes no Detection is an error at its line, and so is an
+    embedding whose dimension differs from the first one's in frame order;
+    the first such record in the records' order is named.
 
     ``embeddings`` maps (frame, index within that frame) to a unit vector.
     """
+    t = records if isinstance(records, MotTable) else MotTable.of(records)
     embeddings = embeddings or {}
-    out: dict[int, list[Detection]] = {}
-    for r in records:
-        dets = out.setdefault(r.frame, [])
+    order = np.argsort(t.frame, kind="stable")
+    frame = t.frame[order]
+    first = _runs(frame)
+    at = np.arange(len(frame))
+    pos = at - np.maximum.accumulate(np.where(first, at, 0))
+    vecs = list(map(embeddings.get, zip(frame.tolist(), pos.tolist())))
+    has = np.array([v is not None for v in vecs], dtype=bool)
+    vecs = list(compress(vecs, has))
+    dims = np.array(list(map(len, vecs)), dtype=np.intp)
+    fits = dims == dims[:1]
+    same = np.flatnonzero(has)[fits]
+    emb = np.zeros((len(frame), dims[0] if len(dims) else 0))
+    if len(same):
+        emb[same] = np.array(list(compress(vecs, fits)), dtype=float)
+    boxes, conf, cls, ma = t.boxes[order], t.conf[order], t.class_id[order], t.ma[order]
+    score = np.where(conf < 0.0, 0.0, conf)  # min(max(conf, 0), 1), -0.0 and NaN kept
+    score = np.where(score > 1.0, 1.0, score)
+    cls = np.where(cls < 0, 0, cls)
+    # Every row with an embedding of another dimension stays flagged.
+    bad = has.copy()
+    bad[same] = np.abs(row_norms(emb[same]) - 1.0) > 1e-6
+    bad |= ((frame < 1) | ~((boxes[:, 2] > 0) & (boxes[:, 3] > 0))
+            | ~((score >= 0.0) & (score <= 1.0)) | (cls >= 2**63) | (ma < 0.0) | (ma > 1.0))
+    for k in sorted(np.flatnonzero(bad).tolist(), key=order.__getitem__):
+        r, i = t[order[k]], int(pos[k])
+        vec = embeddings.get((r.frame, i))
         try:
-            dets.append(Detection(r.frame, BBox(r.x, r.y, r.w, r.h), min(max(r.conf, 0.0), 1.0),
-                                  max(r.class_id, 0), r.motion_awareness,
-                                  embeddings.get((r.frame, len(dets)))))
+            Detection(r.frame, BBox(r.x, r.y, r.w, r.h), min(max(r.conf, 0.0), 1.0),
+                      max(r.class_id, 0), r.motion_awareness, vec)
+            if vec is not None and len(vec) != emb.shape[1]:
+                raise embedding_dim_error(r.frame, i, len(vec), emb.shape[1])
         except ValueError as e:
             raise (ParseError(*r.source, e) if r.source else e) from None
-    return out
+    cls = cls.astype(np.int64)
+    for col in (boxes, score, cls, ma, emb, has):
+        col.flags.writeable = False
+    starts = np.flatnonzero(first).tolist()
+    return {f: DetectionBlock(f, boxes[a:b], score[a:b], cls[a:b], ma[a:b], emb[a:b], has[a:b])
+            for f, a, b in zip(frame[starts].tolist(), starts, starts[1:] + [len(frame)])}
 
 
-def records_to_trajectories(records: list[MotRecord]) -> TrajectorySet:
+def records_to_trajectories(records: Sequence[MotRecord]) -> TrajectorySet:
     """Group records by track id; a second box of one track in one frame is
-    an error at that record's line."""
-    tracks: dict[int, dict[int, BBox]] = {}
-    for r in sorted(records, key=lambda r: r.frame):
-        boxes = tracks.setdefault(r.track_id, {})
-        if r.frame in boxes:
-            msg = f"track {r.track_id} already has a box in frame {r.frame}"
-            raise ParseError(*r.source, msg) if r.source else ValueError(msg)
-        boxes[r.frame] = BBox(r.x, r.y, r.w, r.h)
-    return TrajectorySet.build((tid, boxes.items()) for tid, boxes in sorted(tracks.items()))
+    an error at that record's line (the first such record in frame order)."""
+    t = records if isinstance(records, MotTable) else MotTable.of(records)
+    order = np.lexsort((t.frame, t.track_id))  # stable: repeats keep their order
+    tid, frame, boxes = t.track_id[order], t.frame[order], t.boxes[order]
+    first = _runs(tid)
+    # A repeated (track, frame) or a box that is no BBox; the first in frame
+    # order is named, a repeat before a bad box of the same record.
+    again = ~first & ~_runs(frame)
+    bad = np.flatnonzero(again | ~((boxes[:, 2] > 0) & (boxes[:, 3] > 0))).tolist()
+    if bad:
+        by_frame = np.argsort(t.frame, kind="stable")
+        rank = np.empty_like(by_frame)
+        rank[by_frame] = np.arange(len(by_frame))
+        k = min(bad, key=lambda k: rank[order[k]])
+        r = t[order[k]]
+        if not again[k]:
+            BBox(r.x, r.y, r.w, r.h)  # raises its own error
+        msg = f"track {r.track_id} already has a box in frame {r.frame}"
+        raise ParseError(*r.source, msg) if r.source else ValueError(msg)
+    tids, seqs = tid.tolist(), list(zip(frame.tolist(), to_bboxes(boxes)))
+    starts = np.flatnonzero(first).tolist()
+    return TrajectorySet(tuple((tids[a], tuple(seqs[a:b]))
+                               for a, b in zip(starts, starts[1:] + [len(seqs)])))
+
+
+def _fmt_column(values) -> list[str]:
+    """``_fmt`` of each value. Each distinct value is formatted once (-0 as
+    0), all of them through the repr of one list that holds the whole ones
+    as ints, which saves a Python call per value."""
+    values, index = np.unique(np.asarray(values, dtype=float), return_inverse=True)
+    cells = values.tolist()
+    whole = np.flatnonzero((values == np.trunc(values)) & (np.abs(values) < 1e15))
+    for i, n in zip(whole.tolist(), values[whole].astype(np.int64).tolist()):
+        cells[i] = n
+    text = repr(cells)[1:-1].split(", ")
+    return list(map(text.__getitem__, index.tolist()))
+
+
+def _mot_text(frame, track_id, boxes, conf, class_id, visibility, ma=None) -> str:
+    """The lines ``MotRecord.render`` gives for rows of columns, each ending
+    in a newline. The int columns come as text, the others as numbers for
+    ``_fmt_column``; a NaN in ``ma`` means no tenth field."""
+    cols = [frame, track_id, *map(_fmt_column, np.asarray(boxes).T), _fmt_column(conf),
+            class_id, _fmt_column(visibility)]
+    lines = map(",".join, zip(*cols))
+    if ma is not None:
+        lines = map(str.__add__, lines, ["" if math.isnan(m) else "," + s
+                                         for m, s in zip(ma.tolist(), _fmt_column(ma))])
+    text = "\n".join(lines)
+    return text + "\n" if text else text
 
 
 def write_mot_file(tset: TrajectorySet, path) -> None:
     """One line per box, frame-major, conf 1, class and visibility -1."""
-    text = "".join(f"{frame},{tid},{_fmt(b.x)},{_fmt(b.y)},{_fmt(b.w)},{_fmt(b.h)},1,-1,-1\n"
-                   for frame, boxes in tset.boxes_by_frame().items() for tid, b in boxes)
+    flat, n = tset.flat(), tset.num_boxes()
+    frames, tids = list(map(str, flat.frames)), [str(tid) for tid, _ in tset.tracks]
+    text = _mot_text(map(frames.__getitem__, flat.frame.tolist()),
+                     map(tids.__getitem__, flat.row.tolist()), flat.cols.T, np.ones(n),
+                     repeat("-1"), np.full(n, -1.0))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
 
@@ -251,6 +405,7 @@ def parse_embeddings(path) -> dict[tuple[int, int], np.ndarray]:
     `det_index` is the 0-based position among that frame's detections."""
     line_nos, rows, (frame, idx), err = _table(
         path, None, (0, 1), lambda n: "expected `frame index v1 ... vd`" if n < 3 else None, 3)
+    frame, idx = frame.tolist(), idx.tolist()
     keys = list(zip(frame, idx))
     dims = np.count_nonzero(~np.isnan(rows), axis=1) - 2
     vecs = rows[:, 2:2 + (dims[0] if len(dims) else 0)]
@@ -276,9 +431,7 @@ def write_embeddings(emb: dict[tuple[int, int], np.ndarray], path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for _, chunk in groupby(zip(starts, keys, vecs), lambda row: row[0] // 4096):
             chunk = list(chunk)
-            values, index = np.unique(np.concatenate([v for _, _, v in chunk]), return_inverse=True)
-            text = list(map(_fmt, values.tolist()))
-            cells, c0 = list(map(text.__getitem__, index.tolist())), chunk[0][0]
+            cells, c0 = _fmt_column(np.concatenate([v for _, _, v in chunk])), chunk[0][0]
             fh.write("".join(f"{f} {i} {' '.join(cells[c - c0:c - c0 + v.size])}\n"
                              for c, (f, i), v in chunk))
 
@@ -289,15 +442,25 @@ def write_scene(scene, dets: dict[int, list[Detection]], out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for i, frame in enumerate(scene.frames, start=1):
         write_pgm(to_uint8(frame[:, :, 0]), os.path.join(out_dir, f"{i:06d}.pgm"))
-    gt = [MotRecord(f, tid, b.x, b.y, b.w, b.h, 1, scene.classes[tid], 1,
-                    scene.velocities[(tid, f)]).render()
-          for f, boxes in scene.gt.boxes_by_frame().items() for tid, b in boxes]
-    det = [MotRecord(f, -1, d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h, d.score, d.class_id, -1,
-                     d.motion_awareness).render() for f in sorted(dets) for d in dets[f]]
-    cmc = [f"{f} 1 0 0 0 1 0" for f in range(1, len(scene.frames) + 1)]
-    for name, lines in (("gt.txt", gt), ("det.txt", det), ("cmc.txt", cmc)):
+    gt = scene.gt.flat()
+    frames = list(map(gt.frames.__getitem__, gt.frame.tolist()))
+    tids = [scene.gt.tracks[r][0] for r in gt.row.tolist()]
+    ones = np.ones(len(tids))
+    det = [d for f in sorted(dets) for d in dets[f]]
+    text = {
+        "gt.txt": _mot_text(map(str, frames), map(str, tids), gt.cols.T, ones,
+                            [str(scene.classes[t]) for t in tids], ones,
+                            np.array([scene.velocities[k] for k in zip(tids, frames)], float)),
+        "det.txt": _mot_text([str(f) for f in sorted(dets) for _ in dets[f]], repeat("-1"),
+                             as_xywh([d.bbox for d in det]), [d.score for d in det],
+                             [str(d.class_id) for d in det], np.full(len(det), -1.0),
+                             np.array([math.nan if d.motion_awareness is None else
+                                       d.motion_awareness for d in det], float)),
+        "cmc.txt": "".join(f"{f} 1 0 0 0 1 0\n" for f in range(1, len(scene.frames) + 1)),
+    }
+    for name, data in text.items():
         with open(os.path.join(out_dir, name), "w", encoding="ascii") as fh:
-            fh.write("".join(line + "\n" for line in lines))
+            fh.write(data)
     write_embeddings({(f, i): d.embedding for f in dets for i, d in enumerate(dets[f])
                       if d.embedding is not None}, os.path.join(out_dir, "emb.txt"))
 
@@ -306,6 +469,7 @@ def parse_cmc_file(path) -> dict[int, Affine2x3]:
     """Lines of `frame r11 r12 tx r21 r22 ty`, one per frame; missing frames mean identity."""
     line_nos, rows, (frame,), err = _table(
         path, None, (0,), lambda n: None if n == 7 else f"expected 7 fields, got {n}", 7)
+    frame = frame.tolist()
     _check(path, line_nos, err, [
         (rows[:, 0] < 1, lambda i: f"frame must be >= 1, got {frame[i]}"),
         (_repeats(frame), lambda i: f"repeated frame {frame[i]}"),

@@ -19,6 +19,11 @@ became masks over one table: `read_lines`, `parse_numbers`, `_NORM_MIN`,
 `_parse_mot_lines`, `_parse_embedding_lines` and `_parse_cmc_lines`, and
 `parse_proposals` (here `parse_proposal_lines`), each calling the copies here.
 
+Then the record grouping as it was when it built one object per record:
+`records_to_detections` (one Detection and BBox per record, in per-frame
+lists) and `records_to_trajectories` (one BBox per record, grouped in
+dicts).
+
 Test-only; do not change it to follow the library.
 """
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import fields
 import numpy as np
 
 from sartrack.assoc import TrackerConfig
-from sartrack.core import COORD_MAX, BBox, TrajectorySet
+from sartrack.core import COORD_MAX, BBox, Detection, TrajectorySet
 from sartrack.io import MotRecord, ParseError
 from sartrack.lfa import Proposal
 from sartrack.motion import Affine2x3
@@ -392,3 +397,36 @@ def parse_proposal_lines(path) -> list[tuple[int, Proposal]]:
         except ValueError as e:
             raise ParseError(path, line_no, e) from None
     return props
+
+
+def records_to_detections(records: list[MotRecord],
+                          embeddings: dict | None = None) -> dict[int, list[Detection]]:
+    """Group records into per-frame Detection lists; a record that makes no
+    Detection is an error at its line.
+
+    ``embeddings`` maps (frame, index within that frame) to a unit vector.
+    """
+    embeddings = embeddings or {}
+    out: dict[int, list[Detection]] = {}
+    for r in records:
+        dets = out.setdefault(r.frame, [])
+        try:
+            dets.append(Detection(r.frame, BBox(r.x, r.y, r.w, r.h), min(max(r.conf, 0.0), 1.0),
+                                  max(r.class_id, 0), r.motion_awareness,
+                                  embeddings.get((r.frame, len(dets)))))
+        except ValueError as e:
+            raise (ParseError(*r.source, e) if r.source else e) from None
+    return out
+
+
+def records_to_trajectories(records: list[MotRecord]) -> TrajectorySet:
+    """Group records by track id; a second box of one track in one frame is
+    an error at that record's line."""
+    tracks: dict[int, dict[int, BBox]] = {}
+    for r in sorted(records, key=lambda r: r.frame):
+        boxes = tracks.setdefault(r.track_id, {})
+        if r.frame in boxes:
+            msg = f"track {r.track_id} already has a box in frame {r.frame}"
+            raise ParseError(*r.source, msg) if r.source else ValueError(msg)
+        boxes[r.frame] = BBox(r.x, r.y, r.w, r.h)
+    return TrajectorySet.build((tid, boxes.items()) for tid, boxes in sorted(tracks.items()))

@@ -33,7 +33,7 @@ FORMATS = {
 def _snapshot(out):
     """A parse result as plain data whose equality also sees float bits,
     int types, key order and record sources."""
-    if isinstance(out, list):
+    if isinstance(out, (list, sio.MotTable)):
         return [repr(dataclasses.astuple(r)) for r in out]
     return [(repr(k), np.asarray(getattr(v, "m", v)).shape,
              np.asarray(getattr(v, "m", v)).tobytes()) for k, v in out.items()]
