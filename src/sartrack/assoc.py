@@ -6,12 +6,12 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
 from ._solver import linear_sum_assignment
-from .core import BBox, Detection, DetectionBlock, TrajectorySet, iou, row_norms
+from .core import (BBox, Detection, DetectionBlock, TrajectorySet, int_column, iou,
+                   row_norms)
 from .motion import (Affine2x3, apply_cmc, boxes_to_measurements, kf_init,
                      kf_predict, kf_update, means_to_boxes)
 
@@ -115,7 +115,7 @@ class Tracker:
     `has_emb` is set, D fixed by the first embedding seen, and `mean` (N, 8)
     and `cov` (N, 2, 2, 6) are the Kalman state. A frame updates and ages the
     rows with masked array expressions. An append-only log keeps one
-    (frame, ids, boxes) entry per frame for the matched and spawned rows,
+    (frame, ids, box rows) entry per frame for the matched and spawned rows,
     so a track's logged boxes number its hits; `trajectories()` reads it.
     """
 
@@ -247,9 +247,9 @@ class Tracker:
             dj = np.concatenate([dj, rest_high])
             matched = np.concatenate([matched, np.ones(k, dtype=bool)])
         ids, state = self.ids[rows], self.state
-        out_boxes = block.bboxes(dj)
-        self._log.append((frame, ids, out_boxes))
-        emitted = list(compress(zip(ids.tolist(), out_boxes), (state[rows] == _CONF).tolist()))
+        self._log.append((frame, ids, boxes[dj]))
+        conf = state[rows] == _CONF
+        emitted = list(zip(ids[conf].tolist(), block.bboxes(dj[conf])))
 
         # Age out every row left unmatched: TENTATIVE and LOST past max_age
         # are removed, CONFIRMED becomes LOST.
@@ -266,14 +266,17 @@ class Tracker:
         """All boxes of tracks that ever confirmed, earliest frames included,
         in id order. A track confirms when its hits, which are its logged
         boxes, reach `n_init`, so the count alone tells which tracks did."""
-        seqs: dict[int, list] = {}
-        for frame, ids, boxes in self._log:
-            for tid, box in zip(ids.tolist(), boxes):
-                seqs.setdefault(tid, []).append((frame, box))
-        # `step` takes frames in rising order, so each id's frames rise and
-        # the TrajectorySet needs no check of its own.
-        return TrajectorySet(tuple((tid, tuple(seqs[tid])) for tid in sorted(seqs)
-                                   if len(seqs[tid]) >= self.cfg.n_init))
+        if not self._log:
+            return TrajectorySet()
+        frames, ids, boxes = zip(*self._log)
+        counts = list(map(len, ids))
+        ids = np.concatenate(ids)
+        # The log runs in frame order, so a stable sort by id keeps each
+        # track's frames rising.
+        order = np.flatnonzero(np.bincount(ids)[ids] >= self.cfg.n_init)
+        order = order[np.argsort(ids[order], kind="stable")]
+        boxes = np.concatenate(boxes)[order]
+        return TrajectorySet(ids[order], np.repeat(int_column(frames), counts)[order], boxes)
 
 
 def track_sequence(frame_detections: dict[int, DetectionBlock | list[Detection]],

@@ -8,10 +8,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from itertools import chain, compress
-from operator import attrgetter
-from typing import NamedTuple
+from dataclasses import dataclass
+from itertools import chain, compress, groupby
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -59,17 +58,35 @@ def as_xywh(boxes) -> np.ndarray:
 _FILL_XYWH = tuple(BBox.__dict__[k].__set__ for k in ("x", "y", "w", "h"))
 
 
+def _check_sides(boxes: np.ndarray) -> None:
+    """Raise the first bad row's BBox error if a side is not positive."""
+    ok = (boxes[:, 2] > 0) & (boxes[:, 3] > 0)
+    if not ok.all():
+        BBox(*boxes[np.argmin(ok)].tolist())
+
+
 def to_bboxes(boxes: np.ndarray) -> list[BBox]:
     """The rows of an (N, 4) array of (x, y, w, h) as BBoxes. The sides are
     checked once for all rows, and each box is then filled in through its
     slots without running the check again (about four times faster)."""
-    ok = (boxes[:, 2] > 0) & (boxes[:, 3] > 0)
-    if not ok.all():
-        BBox(*boxes[np.argmin(ok)].tolist())  # raises the first bad box's error
+    _check_sides(boxes)
     out = [object.__new__(BBox) for _ in range(len(boxes))]
     for fill, col in zip(_FILL_XYWH, boxes.T.tolist()):
         deque(map(fill, out, col), maxlen=0)
     return out
+
+
+def int_column(values) -> np.ndarray:
+    """Exact ints as int64, or as an object array if one does not fit."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
+
+
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Whether each entry of a column starts a run of equal values."""
+    return np.r_[True, keys[1:] != keys[:-1]][:len(keys)]
 
 
 def iou_of(a, b) -> np.ndarray:
@@ -126,6 +143,8 @@ class Detection:
             n = math.sqrt(flat.dot(flat))  # np.linalg.norm(emb), bit for bit
             if abs(n - 1.0) > 1e-6:
                 raise ValueError(f"embedding must be unit norm, got norm {n}")
+            if emb.ndim != 1:
+                raise ValueError(f"embedding must be 1-D, got shape {emb.shape}")
             object.__setattr__(self, "embedding", emb)
 
 
@@ -167,7 +186,7 @@ class DetectionBlock(Sequence):
             for j, v in zip(np.flatnonzero(has).tolist(), vecs):
                 if len(v) != emb.shape[1]:
                     raise embedding_dim_error(frame, j, len(v), emb.shape[1])
-            emb[has] = np.reshape(vecs, (len(vecs), emb.shape[1]))
+            emb[has] = vecs
         table = np.array(table, dtype=float)
         return cls(frame, table[:4].T, table[4], np.array(cls_ids, dtype=np.int64), table[5],
                    emb, has, dets)
@@ -201,68 +220,76 @@ class DetectionBlock(Sequence):
         raise embedding_dim_error(self.frame, j, self.emb.shape[1], dim)
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectorySet:
-    """Finalized per-sequence tracking output.
+class TrajectorySet(Sequence):
+    """Finalized per-sequence tracking output as read-only columns, one row
+    per box: ``ids``, ``frame`` (``int_column``s) and ``boxes`` (N, 4) of (x,
+    y, w, h), grouped by track in the given order with frames strictly rising
+    in each; the constructor checks that in bulk. The set is the sequence of
+    its tracks, (id, ((frame, float box), ...)) each, built when indexed."""
 
-    ``tracks`` maps each unique track id to its (frame, box) sequence with
-    strictly increasing frames.
-    """
+    __slots__ = ("ids", "frame", "boxes", "_bounds")
 
-    tracks: tuple[tuple[int, tuple[tuple[int, BBox], ...]], ...] = ()
-    _flat: "FlatBoxes | None" = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, ids=(), frame=(), boxes=()):
+        ids, frame = int_column(ids), int_column(frame)
+        boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+        if not len(ids) == len(frame) == len(boxes):
+            raise ValueError(f"{len(ids)} ids, {len(frame)} frames and {len(boxes)} boxes")
+        first = run_starts(ids)
+        starts = np.flatnonzero(first)
+        if len(set(ids[starts].tolist())) != len(starts):
+            raise ValueError("duplicate track ids")
+        back = np.flatnonzero(~first[1:] & (frame[1:] <= frame[:-1]))
+        if len(back):
+            raise ValueError(f"track {ids[back[0]]} frames not strictly increasing")
+        _check_sides(boxes)
+        self.ids, self.frame, self.boxes = ids.view(), frame.view(), boxes.view()
+        for col in (self.ids, self.frame, self.boxes):
+            col.flags.writeable = False
+        self._bounds = np.append(starts, len(ids))
 
     @classmethod
     def build(cls, tracks) -> "TrajectorySet":
-        frozen = tuple((int(tid), tuple((int(f), b) for f, b in seq)) for tid, seq in tracks)
-        if len({tid for tid, _ in frozen}) != len(frozen):
+        """The set of (track id, [(frame, BBox), ...]) pairs, each with a box."""
+        tracks = [(int(tid), list(seq)) for tid, seq in tracks]
+        if empty := [tid for tid, seq in tracks if not seq]:
+            raise ValueError(f"track {empty[0]} has no boxes")
+        if len({tid for tid, _ in tracks}) != len(tracks):
             raise ValueError("duplicate track ids")
-        for tid, seq in frozen:
-            if any(b[0] <= a[0] for a, b in zip(seq, seq[1:])):
-                raise ValueError(f"track {tid} frames not strictly increasing")
-        return cls(frozen)
+        return cls([tid for tid, seq in tracks for _ in seq],
+                   [int(f) for _, seq in tracks for f, _ in seq],
+                   as_xywh([b for _, seq in tracks for _, b in seq]))
 
     def __len__(self) -> int:
-        return len(self.tracks)
+        return len(self._bounds) - 1
+
+    def __getitem__(self, i) -> tuple[int, tuple[tuple[int, BBox], ...]]:
+        i = range(len(self))[i]
+        a, b = self._bounds[i:i + 2]
+        return int(self.ids[a]), tuple(zip(self.frame[a:b].tolist(), to_bboxes(self.boxes[a:b])))
+
+    def __eq__(self, other):
+        if not isinstance(other, TrajectorySet):
+            return NotImplemented
+        return all(map(np.array_equal, (self.ids, self.frame, self.boxes),
+                       (other.ids, other.frame, other.boxes)))
+
+    def __repr__(self) -> str:
+        return f"TrajectorySet(tracks={tuple(self)!r})"
+
+    tracks = property(lambda self: self, doc="The set itself, as the sequence of its tracks.")
 
     def num_boxes(self) -> int:
-        return sum(len(seq) for _, seq in self.tracks)
+        return len(self.ids)
 
     def frames(self) -> list[int]:
-        return sorted({f for _, seq in self.tracks for f, _ in seq})
+        return sorted(set(self.frame.tolist()))
 
     def boxes_by_frame(self) -> dict[int, list[tuple[int, BBox]]]:
-        """frame -> list of (track id, box), in track-id order."""
-        out: dict[int, list[tuple[int, BBox]]] = {}
-        for tid, seq in self.tracks:
-            for f, b in seq:
-                out.setdefault(f, []).append((tid, b))
-        return {f: out[f] for f in sorted(out)}
+        """frame -> list of (track id, box), frames ascending, tracks in order."""
+        order = np.argsort(self.frame, kind="stable")
+        rows = zip(self.frame[order].tolist(), self.ids[order].tolist(),
+                   to_bboxes(self.boxes[order]))
+        return {f: [(tid, b) for _, tid, b in run] for f, run in groupby(rows, itemgetter(0))}
 
     def by_id(self) -> dict[int, dict[int, BBox]]:
-        return {tid: {f: b for f, b in seq} for tid, seq in self.tracks}
-
-    def flat(self) -> "FlatBoxes":
-        """Every box as columns, ordered by frame and then by row (a track's
-        index in ``.tracks``); computed on the first call and kept."""
-        if self._flat is None:
-            seqs = [seq for _, seq in self.tracks]
-            frame_of = [f for seq in seqs for f, _ in seq]
-            frames = sorted(set(frame_of))
-            pos = {f: i for i, f in enumerate(frames)}
-            frame = np.array([pos[f] for f in frame_of], dtype=np.intp)
-            order = np.argsort(frame, kind="stable")
-            row = np.repeat(np.arange(len(seqs)), [len(seq) for seq in seqs])
-            cols = as_xywh([b for seq in seqs for _, b in seq])[order].T.copy()
-            object.__setattr__(self, "_flat", FlatBoxes(frames, frame[order], row[order], cols))
-        return self._flat
-
-
-class FlatBoxes(NamedTuple):
-    """A TrajectorySet's boxes as columns, one entry per box."""
-
-    frames: list[int]  # the distinct frames, ascending
-    frame: np.ndarray  # each box's index into ``frames``
-    row: np.ndarray  # each box's track index in ``TrajectorySet.tracks``
-    cols: np.ndarray  # (4, N): each box's x, y, w and h
-
+        return {tid: dict(seq) for tid, seq in self}

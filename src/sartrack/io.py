@@ -27,7 +27,7 @@ from itertools import accumulate, compress, groupby, repeat
 import numpy as np
 
 from .core import (COORD_MAX, BBox, Detection, DetectionBlock, TrajectorySet, as_xywh,
-                   embedding_dim_error, row_norms, to_bboxes)
+                   embedding_dim_error, int_column, row_norms, run_starts)
 from .lfa import Proposal
 from .motion import Affine2x3
 
@@ -139,7 +139,7 @@ def _integral(cols: np.ndarray) -> bool:
 
 def _table(path, delimiter: str | None, int_cols, width_error, width: int) -> tuple:
     """A numeric text file as (line numbers, float rows padded with NaN to at
-    least ``width`` columns, one ``_int_column`` per column in ``int_cols``,
+    least ``width`` columns, one ``int_column`` per column in ``int_cols``,
     the first tokenizing ParseError or None). ``width_error(n)``
     words what is wrong with a line of n fields, or is None.
 
@@ -166,16 +166,8 @@ def _table(path, delimiter: str | None, int_cols, width_error, width: int) -> tu
             err = e
         n = max([width, *map(len, vals)])
         rows = np.array([v + [math.nan] * (n - len(v)) for v in vals], dtype=float).reshape(-1, n)
-        ints = [_int_column([v[i] for v in vals]) for i in int_cols]
+        ints = [int_column([v[i] for v in vals]) for i in int_cols]
     return line_nos, rows, ints, err
-
-
-def _int_column(values) -> np.ndarray:
-    """Exact ints as int64, or as an object array if one does not fit."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 def _check(path, line_nos, err, checks) -> None:
@@ -199,7 +191,7 @@ def _repeats(keys: list) -> np.ndarray:
 
 class MotTable(Sequence):
     """MOT records as columns: ``frame``, ``track_id`` and ``class_id``
-    (``_int_column``s), and views of ``cols`` (N, 7): ``boxes`` (N, 4),
+    (``int_column``s), and views of ``cols`` (N, 7): ``boxes`` (N, 4),
     ``conf``, ``visibility`` and ``ma`` (motion awareness, NaN where absent).
     Indexing builds each MotRecord when asked for, with its ``(path, line)``
     source; a table made by ``of`` hands back the records it was made from.
@@ -223,7 +215,7 @@ class MotTable(Sequence):
                           is None else r.motion_awareness) for r in records], float).reshape(-1, 7)
         given = np.array([r.motion_awareness is not None for r in records], dtype=bool)
         cols[np.isnan(cols[:, 6]) & given, 6] = math.inf
-        return cls(*(_int_column([getattr(r, k) for r in records])
+        return cls(*(int_column([getattr(r, k) for r in records])
                      for k in ("frame", "track_id", "class_id")), cols, records=records)
 
     def _build(self, rows: slice) -> list[MotRecord]:
@@ -276,13 +268,6 @@ def parse_mot_file(path) -> MotTable:
                     [line_nos[i] for i in order.tolist()])
 
 
-def _runs(keys: np.ndarray) -> np.ndarray:
-    """Whether each entry of a sorted key column starts a run of equal keys."""
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return first
-
-
 def records_to_detections(records: Sequence[MotRecord],
                           embeddings: dict | None = None) -> dict[int, DetectionBlock]:
     """Group records into one DetectionBlock per frame, in frame order. A
@@ -296,16 +281,18 @@ def records_to_detections(records: Sequence[MotRecord],
     embeddings = embeddings or {}
     order = np.argsort(t.frame, kind="stable")
     frame = t.frame[order]
-    first = _runs(frame)
+    first = run_starts(frame)
     at = np.arange(len(frame))
     pos = at - np.maximum.accumulate(np.where(first, at, 0))
     vecs = list(map(embeddings.get, zip(frame.tolist(), pos.tolist())))
     has = np.array([v is not None for v in vecs], dtype=bool)
     vecs = list(compress(vecs, has))
-    dims = np.array(list(map(len, vecs)), dtype=np.intp)
-    fits = dims == dims[:1]
+    # A vector that is not 1-D fits no width; the first 1-D one sets it.
+    dims = np.array([len(v) if np.ndim(v) == 1 else -1 for v in vecs], dtype=np.intp)
+    width = next(iter(dims[dims >= 0].tolist()), 0)
+    fits = dims == width
     same = np.flatnonzero(has)[fits]
-    emb = np.zeros((len(frame), dims[0] if len(dims) else 0))
+    emb = np.zeros((len(frame), width))
     if len(same):
         emb[same] = np.array(list(compress(vecs, fits)), dtype=float)
     boxes, conf, cls, ma = t.boxes[order], t.conf[order], t.class_id[order], t.ma[order]
@@ -341,25 +328,18 @@ def records_to_trajectories(records: Sequence[MotRecord]) -> TrajectorySet:
     t = records if isinstance(records, MotTable) else MotTable.of(records)
     order = np.lexsort((t.frame, t.track_id))  # stable: repeats keep their order
     tid, frame, boxes = t.track_id[order], t.frame[order], t.boxes[order]
-    first = _runs(tid)
     # A repeated (track, frame) or a box that is no BBox; the first in frame
     # order is named, a repeat before a bad box of the same record.
-    again = ~first & ~_runs(frame)
+    again = ~run_starts(tid) & ~run_starts(frame)
     bad = np.flatnonzero(again | ~((boxes[:, 2] > 0) & (boxes[:, 3] > 0))).tolist()
     if bad:
-        by_frame = np.argsort(t.frame, kind="stable")
-        rank = np.empty_like(by_frame)
-        rank[by_frame] = np.arange(len(by_frame))
-        k = min(bad, key=lambda k: rank[order[k]])
+        k = min(bad, key=lambda k: (t.frame[order[k]], order[k]))
         r = t[order[k]]
         if not again[k]:
             BBox(r.x, r.y, r.w, r.h)  # raises its own error
         msg = f"track {r.track_id} already has a box in frame {r.frame}"
         raise ParseError(*r.source, msg) if r.source else ValueError(msg)
-    tids, seqs = tid.tolist(), list(zip(frame.tolist(), to_bboxes(boxes)))
-    starts = np.flatnonzero(first).tolist()
-    return TrajectorySet(tuple((tids[a], tuple(seqs[a:b]))
-                               for a, b in zip(starts, starts[1:] + [len(seqs)])))
+    return TrajectorySet(tid, frame, boxes)
 
 
 def _fmt_column(values) -> list[str]:
@@ -391,11 +371,9 @@ def _mot_text(frame, track_id, boxes, conf, class_id, visibility, ma=None) -> st
 
 def write_mot_file(tset: TrajectorySet, path) -> None:
     """One line per box, frame-major, conf 1, class and visibility -1."""
-    flat, n = tset.flat(), tset.num_boxes()
-    frames, tids = list(map(str, flat.frames)), [str(tid) for tid, _ in tset.tracks]
-    text = _mot_text(map(frames.__getitem__, flat.frame.tolist()),
-                     map(tids.__getitem__, flat.row.tolist()), flat.cols.T, np.ones(n),
-                     repeat("-1"), np.full(n, -1.0))
+    order, n = np.argsort(tset.frame, kind="stable"), tset.num_boxes()
+    text = _mot_text(map(str, tset.frame[order].tolist()), map(str, tset.ids[order].tolist()),
+                     tset.boxes[order], np.ones(n), repeat("-1"), np.full(n, -1.0))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
 
@@ -442,13 +420,12 @@ def write_scene(scene, dets: dict[int, list[Detection]], out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for i, frame in enumerate(scene.frames, start=1):
         write_pgm(to_uint8(frame[:, :, 0]), os.path.join(out_dir, f"{i:06d}.pgm"))
-    gt = scene.gt.flat()
-    frames = list(map(gt.frames.__getitem__, gt.frame.tolist()))
-    tids = [scene.gt.tracks[r][0] for r in gt.row.tolist()]
+    order = np.argsort(scene.gt.frame, kind="stable")
+    frames, tids = scene.gt.frame[order].tolist(), scene.gt.ids[order].tolist()
     ones = np.ones(len(tids))
     det = [d for f in sorted(dets) for d in dets[f]]
     text = {
-        "gt.txt": _mot_text(map(str, frames), map(str, tids), gt.cols.T, ones,
+        "gt.txt": _mot_text(map(str, frames), map(str, tids), scene.gt.boxes[order], ones,
                             [str(scene.classes[t]) for t in tids], ones,
                             np.array([scene.velocities[k] for k in zip(tids, frames)], float)),
         "det.txt": _mot_text([str(f) for f in sorted(dets) for _ in dets[f]], repeat("-1"),

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._solver import linear_sum_assignment
-from .core import TrajectorySet, iou, iou_of
+from .core import TrajectorySet, iou, iou_of, run_starts
 
 HOTA_ALPHAS = [round(0.05 * k, 2) for k in range(1, 20)]
 
@@ -111,24 +111,22 @@ def _candidates(g_frame, g_cols, p_frame, p_cols, n_frames: int):
 
 def _pairs(gt: TrajectorySet, pred: TrajectorySet) -> _Pairs:
     """Every (gt box, pred box) pair on one frame with IoU > 0."""
-    fg, fp = gt.flat(), pred.flat()
-    union = sorted(set(fg.frames) | set(fp.frames))
-    pos = {f: t for t, f in enumerate(union)}
-    g_frame = np.array([pos[f] for f in fg.frames], dtype=np.intp)[fg.frame]
-    p_frame = np.array([pos[f] for f in fp.frames], dtype=np.intp)[fp.frame]
+    union, frame = np.unique(np.concatenate([gt.frame, pred.frame]), return_inverse=True)
+    sides = []
+    for tset, t in ((gt, frame[:gt.num_boxes()]), (pred, frame[gt.num_boxes():])):
+        order = np.argsort(t, kind="stable")
+        row = np.cumsum(run_starts(tset.ids)) - 1
+        sides.append((t[order], row[order], tset.boxes[order].T.copy()))
+    (g_frame, g_row, g_cols), (p_frame, p_row, p_cols) = sides
     found = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)]
     if len(g_frame) and len(p_frame):
-        for gi, pj in _candidates(g_frame, fg.cols, p_frame, fp.cols, len(union)):
-            v = iou_of(fg.cols[:, gi], fp.cols[:, pj])
+        for gi, pj in _candidates(g_frame, g_cols, p_frame, p_cols, len(union)):
+            v = iou_of(g_cols[:, gi], p_cols[:, pj])
             found.append((gi[v > 0], pj[v > 0], v[v > 0]))
     gi, pj, v = map(np.concatenate, zip(*found))
     order = np.argsort(gi * len(p_frame) + pj)
-    return _Pairs(g_frame, fg.row, fg.cols, p_frame, fp.row, fp.cols, len(union),
+    return _Pairs(g_frame, g_row, g_cols, p_frame, p_row, p_cols, len(union),
                   gi[order], pj[order], v[order])
-
-
-def _track_lengths(tset: TrajectorySet) -> np.ndarray:
-    return np.array([len(seq) for _, seq in tset.tracks], dtype=np.int64)
 
 
 def _matches(m: np.ndarray, thr: float):
@@ -138,11 +136,6 @@ def _matches(m: np.ndarray, thr: float):
     rows, cols = linear_sum_assignment(cost)
     keep = cost[rows, cols] < _BIG
     return rows[keep], cols[keep]
-
-
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Where each run of equal values of ``keys`` begins."""
-    return np.r_[True, keys[1:] != keys[:-1]][:len(keys)]
 
 
 def _components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,7 +179,7 @@ def _closed_forms(g: np.ndarray, p: np.ndarray, v: np.ndarray):
     centre = np.where(g_star, g, -1 - p)[star]
     order = np.lexsort((-v[star], centre))
     star, centre = star[order], centre[order]
-    best = np.flatnonzero(_run_starts(centre))  # every star has a runner-up
+    best = np.flatnonzero(run_starts(centre))  # every star has a runner-up
     taken[star[best]] = True
     unsure[star[best]] = v[star[best]] - v[star[best + 1]] <= _TIE
 
@@ -197,7 +190,7 @@ def _closed_forms(g: np.ndarray, p: np.ndarray, v: np.ndarray):
     label = _components(g[rest], -1 - p[rest])
     order = np.lexsort((p[rest], g[rest], label))
     rest, label = rest[order], label[order]
-    first = np.flatnonzero(_run_starts(label))
+    first = np.flatnonzero(run_starts(label))
     n_edges = np.diff(np.r_[first, len(rest)])
     comp = np.repeat(np.arange(len(first)), n_edges)
     path = (n_edges == 3)[comp]
@@ -263,7 +256,7 @@ def clear_mot(gt: TrajectorySet, pred: TrajectorySet, iou_thr: float = 0.5, *, p
     g, p = g[order], p[order]
     idsw = int(np.count_nonzero((g[1:] == g[:-1]) & (p[1:] != p[:-1])))
     mota = 1.0 - (fp + fn + idsw) / total_gt
-    frac = np.bincount(g, minlength=len(gt.tracks)) / _track_lengths(gt)
+    frac = np.bincount(g, minlength=len(gt)) / np.bincount(pr.g_row)
     mt, ml = int(np.count_nonzero(frac >= 0.8)), int(np.count_nonzero(frac <= 0.2))
     return mota, fp, fn, idsw, mt, ml
 
@@ -281,12 +274,12 @@ def id_metrics(gt: TrajectorySet, pred: TrajectorySet, iou_thr: float = 0.5, *, 
     if total_gt == 0 and total_pred == 0:
         return 1.0, 1.0, 1.0
     pr = _pairs(gt, pred) if pairs is None else pairs
-    ng, np_ = len(gt.tracks), len(pred.tracks)
+    ng, np_ = len(gt), len(pred)
+    gt_len, pred_len = np.bincount(pr.g_row), np.bincount(pr.p_row)
     # ov[i, j]: frames where gt row i and pred row j overlap.
     above = pr.v >= iou_thr
     ov = np.bincount(pr.g_row[pr.gi[above]] * np_ + pr.p_row[pr.pj[above]],
                      minlength=ng * np_).reshape(ng, np_)
-    gt_len, pred_len = _track_lengths(gt), _track_lengths(pred)
     # Padded assignment: dummy columns/rows let any trajectory stay unpaired.
     cost = np.full((ng + np_, np_ + ng), _BIG)
     cost[:ng, :np_] = gt_len[:, None] + pred_len[None, :] - 2 * ov
@@ -332,7 +325,7 @@ def _hota_matches(pr: _Pairs):
         # An (alpha, frame) without a clear optimum is solved whole, in that order.
         where = a * pr.n_frames + pr.g_frame[gi[k]]
         dense = np.sort(where[unsure])
-        dense = dense[_run_starts(dense)]
+        dense = dense[run_starts(dense)]
         taken &= ~np.isin(where, dense)
         out.append((a[taken], gi[k[taken]], pj[k[taken]]))
         tables = {}
@@ -359,7 +352,8 @@ def hota(gt: TrajectorySet, pred: TrajectorySet, *, pairs=None):
     total_pred = pred.num_boxes()
     pr = _pairs(gt, pred) if pairs is None else pairs
     (gi, pj, top), (a, mg, mp) = _hota_matches(pr)
-    n_alphas, n_pred = len(HOTA_ALPHAS), len(pred.tracks)
+    gt_len, pred_len = np.bincount(pr.g_row), np.bincount(pr.p_row)
+    n_alphas, n_pred = len(HOTA_ALPHAS), len(pred)
     # Per (gt row, pred row) pair u and alpha: n, its match count, and first,
     # the gt box of its first match, which orders matches by frame, then gt row.
     keys, u = np.unique(np.r_[pr.g_row[gi] * n_pred + pr.p_row[pj],
@@ -372,7 +366,6 @@ def hota(gt: TrajectorySet, pred: TrajectorySet, *, pairs=None):
     first = np.minimum.accumulate(first[:, ::-1], axis=1)[:, -2::-1]
     np.add.at(n, (u[len(gi):], a), 1)
     np.minimum.at(first, (u[len(gi):], a), mg)
-    gt_len, pred_len = _track_lengths(gt), _track_lengths(pred)
     terms = n * (n / (gt_len[keys // n_pred, None] + pred_len[keys % n_pred, None] - n))
     # Add each alpha's terms one at a time in first-match order, as a Python
     # sum of np.float64 does; np.sum adds pairwise. Unmatched pairs add 0 last.

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -242,10 +241,10 @@ def generate_scene(cfg: ScenarioConfig) -> Scene:
         _draw_segment(occluded, x0, y0, x0 + length * math.cos(ang),
                       y0 + length * math.sin(ang), True)
 
-    gt = TrajectorySet.build(
-        (i + 1, [(f, BBox(x - w / 2, y - h / 2, w, h)) for f, (x, y) in enumerate(zip(xs, ys), 1)])
-        for i, ((w, h), xs, ys) in enumerate(zip(sizes, cx.tolist(), cy.tolist())))
-    keys = list(product(range(1, n + 1), range(1, frames + 1)))
+    w, h = np.reshape(sizes, (n, 2)).T[:, :, None]
+    gt = TrajectorySet(np.repeat(np.arange(1, n + 1), frames), np.tile(np.arange(1, frames + 1), n),
+                       np.stack(np.broadcast_arrays(cx - w / 2, cy - h / 2, w, h), axis=-1))
+    keys = list(zip(gt.ids.tolist(), gt.frame.tolist()))
     # Distance moved since the previous frame, 0 on the first. math.hypot per
     # element: np.hypot can differ from it in the last bit.
     moved = np.zeros((n, frames))

@@ -2,12 +2,14 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 
 import numpy as np
 import pytest
 
 import sartrack
 from metrics_reference import iou as scalar_iou
+from sartrack import io as sio
 from sartrack.core import BBox, Detection, TrajectorySet, iou
 
 
@@ -83,10 +85,27 @@ def test_detection_norm_check_reports_the_linalg_norm(shape, order):
         assert str(exc.value).endswith(f"got norm {float(np.linalg.norm(emb))}")
 
 
+@pytest.mark.parametrize("emb", [np.array(1.0), np.array([[0.6, 0.8]])])
+def test_embedding_must_be_one_dimensional(emb, tmp_path):
+    """A unit-norm embedding of another shape fails as a Detection and at
+    its record's line, not later in the tracker or the grouping."""
+    msg = f"embedding must be 1-D, got shape {emb.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        Detection(frame=1, bbox=BBox(0, 0, 1, 1), score=0.5, embedding=emb)
+    path = tmp_path / "det.txt"
+    path.write_text("1,-1,10,10,8,8,0.9,0,-1\n1,-1,30,10,8,8,0.9,0,-1\n")
+    records = sio.parse_mot_file(path)
+    for vecs in ({(1, 1): emb}, {(1, 0): np.array([1.0, 0.0]), (1, 1): emb}):
+        with pytest.raises(sio.ParseError, match=r":2: embedding must be 1-D, got shape"):
+            sio.records_to_detections(records, vecs)
+
+
 def test_trajectory_set_invariants():
     b = BBox(0, 0, 1, 1)
     with pytest.raises(ValueError):
         TrajectorySet.build([(1, [(1, b)]), (1, [(2, b)])])
+    with pytest.raises(ValueError, match="^track 2 has no boxes$"):
+        TrajectorySet.build([(1, [(1, b)]), (2, [])])
     with pytest.raises(ValueError):
         TrajectorySet.build([(1, [(2, b), (2, b)])])
     ts = TrajectorySet.build([(1, [(1, b), (3, b)]), (2, [(2, b)])])

@@ -326,7 +326,8 @@ _BOX = st.tuples(st.floats(-1e9, 1e9), st.floats(-1e9, 1e9), st.floats(1e-3, 1e9
 
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(st.integers(-5, 2**40), st.dictionaries(st.integers(1, 50), _BOX,
-                                                                max_size=5), max_size=6))
+                                                                min_size=1, max_size=5),
+                      max_size=6))
 def test_write_mot_file_matches_frozen_copy(tracks):
     tset = TrajectorySet.build((tid, sorted(boxes.items())) for tid, boxes in tracks.items())
     assert _same_file(sio.write_mot_file, ref.write_mot_file, tset)

@@ -2,12 +2,15 @@
 `records_to_trajectories` against their frozen per-record copies in
 io_reference.py (equal results, bits and types included, or the same first
 error); the column line formatter against `MotRecord.render`; a Tracker fed
-`DetectionBlock`s against one fed the blocks' Detections; and no Detection or
-MotRecord built on the way from det.txt to res.txt."""
+`DetectionBlock`s against one fed the blocks' Detections; no Detection or
+MotRecord built on the way from det.txt to res.txt; and no BBox built by
+`sartrack eval` or by writing a tracker's trajectories."""
 import math
 import os
+import sys
 import tempfile
 from collections import Counter
+from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
 
@@ -230,25 +233,31 @@ def test_tracker_on_blocks_equals_tracker_on_their_detections(scene):
     assert repr(on_blocks.trajectories()) == repr(on_lists.trajectories())
 
 
-def test_track_builds_no_detection_or_record(tmp_path):
-    """`sartrack track` reads det.txt, groups it, tracks and writes res.txt
-    without one Detection or MotRecord: each is built only where a caller
-    indexes a block or a table."""
+def _counting(built, owner, name, key):
+    """Patch ``owner.name`` to count its calls under ``key`` in ``built``."""
+    call = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        built[key] += 1
+        return call(*args, **kwargs)
+    return mock.patch.object(owner, name, counted)
+
+
+def _scene(tmp_path):
     scene = synthsim.generate_scene(synthsim.ScenarioConfig(frames=12, n_moving=4, width=96,
                                                             height=96))
     sio.write_scene(scene, synthsim.perturb_detections(scene, synthsim.PerturbConfig()),
                     tmp_path)
+
+
+def test_track_builds_no_detection_or_record(tmp_path):
+    """`sartrack track` reads det.txt, groups it, tracks and writes res.txt
+    without one Detection or MotRecord: each is built only where a caller
+    indexes a block or a table."""
+    _scene(tmp_path)
     built = Counter()
-
-    def counting(cls):
-        init = cls.__init__
-
-        def counted(self, *args, **kwargs):
-            built[cls.__name__] += 1
-            init(self, *args, **kwargs)
-        return mock.patch.object(cls, "__init__", counted)
-
-    with counting(Detection), counting(sio.MotRecord):
+    with (_counting(built, Detection, "__init__", "Detection"),
+          _counting(built, sio.MotRecord, "__init__", "MotRecord")):
         assert cli.main(["track", "--det", str(tmp_path / "det.txt"), "--emb",
                          str(tmp_path / "emb.txt"), "--cmc", str(tmp_path / "cmc.txt"),
                          "--out", str(tmp_path / "res.txt")]) == 0
@@ -256,3 +265,32 @@ def test_track_builds_no_detection_or_record(tmp_path):
         assert built == {}
         list(sio.records_to_detections(sio.parse_mot_file(tmp_path / "det.txt"))[1])
     assert built["Detection"] > 0 and built["MotRecord"] == 0
+
+
+def _box_counters(built):
+    """Patches counting BBox.__init__ calls and `core.to_bboxes` calls in
+    every module that looks it up."""
+    return [_counting(built, BBox, "__init__", "BBox")] + [
+        _counting(built, module, "to_bboxes", "to_bboxes")
+        for name, module in list(sys.modules.items())
+        if name.startswith("sartrack.") and hasattr(module, "to_bboxes")]
+
+
+def test_eval_and_writing_trajectories_build_no_bbox(tmp_path):
+    """`sartrack eval`, and writing a tracker's trajectories after its run,
+    read the trajectory columns without building a BBox."""
+    _scene(tmp_path)
+    blocks = sio.records_to_detections(sio.parse_mot_file(tmp_path / "det.txt"),
+                                       sio.parse_embeddings(tmp_path / "emb.txt"))
+    tracker = Tracker()
+    emitted = sum(len(tracker.step(f, blocks[f])) for f in sorted(blocks))
+    built = Counter()
+    with ExitStack() as stack:
+        for patch in _box_counters(built):
+            stack.enter_context(patch)
+        sio.write_mot_file(tracker.trajectories(), tmp_path / "res.txt")
+        assert cli.main(["eval", "--gt", str(tmp_path / "gt.txt"), "--res",
+                         str(tmp_path / "res.txt")]) == 0
+        assert built == {}
+        sio.records_to_trajectories(sio.parse_mot_file(tmp_path / "res.txt")).by_id()
+    assert emitted > 0 and built["to_bboxes"] > 0
