@@ -13,6 +13,10 @@ counts, 94 MB for a 512 x 512 map at the default 180 angles. A table, or a
 forward Radon map, larger than ``BIN_TABLE_MAX_BYTES`` (1 GiB) is rejected
 with a ``ValueError`` before anything is allocated. Built tables are cached
 up to the same total, and the least recently used ones are evicted first.
+Both transforms loop over angles within blocks of whole rows (``_BLOCK_PX``
+pixels), so at 512 x 512 an angle touches under 1 MB of cache instead of 6.5
+MB of whole-map planes. A pixel still sums its kept bins in angle order, and
+a rho bin its pixels in row-major order, both from +0.0: no bit changes.
 """
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ from collections import OrderedDict
 import numpy as np
 
 BIN_TABLE_MAX_BYTES = 1 << 30
+_BLOCK_PX = 1 << 15
 
 _bin_tables: OrderedDict[tuple[int, int, int, int], np.ndarray] = OrderedDict()
 
@@ -103,8 +108,9 @@ def default_bins(h: int, w: int) -> tuple[int, int]:
 def radon_forward(x, n_angles: int, n_rho: int) -> np.ndarray:
     """Accumulate each pixel's value into its (angle, rho) bin.
 
-    Returns a (n_angles, n_rho, C) array. A bin table or output above
-    ``BIN_TABLE_MAX_BYTES`` raises ValueError before either is allocated.
+    Returns a (n_angles, n_rho, C) array, summed one row block at a time. A
+    bin table or output above ``BIN_TABLE_MAX_BYTES`` raises ValueError
+    before either is allocated.
     """
     x = _as_hwc(x)
     h, w, c = x.shape
@@ -117,13 +123,23 @@ def radon_forward(x, n_angles: int, n_rho: int) -> np.ndarray:
     bins = _rho_bins(h, w, n_angles, n_rho)
     flat = x.reshape(h * w, c)
     out = np.zeros((n_angles, n_rho, c))
-    # bincount casts narrow indices to a fresh intp array on every call;
-    # casting each angle once into one reused buffer allocates nothing.
-    idx = np.empty(h * w, dtype=np.intp)
-    for a in range(n_angles):
-        idx[...] = bins[a].ravel()
-        for k in range(c):
-            out[a, :, k] = np.bincount(idx, weights=flat[:, k], minlength=n_rho)
+    # Per row block and angle, bincount gets an arange(n_rho) prefix weighted
+    # by the bins' running sums, then the block. It adds each bin's weights in
+    # order from +0.0, and a sum from +0.0 is never -0.0, so 0.0 + sum is that
+    # sum: each bin goes on with a whole-map call's row-major additions. Blocks
+    # of at least 4 * n_rho pixels bound the carried sums' cost, and the reused
+    # intp buffer saves bincount a cast on every call.
+    rows = max(1, min(h, max(_BLOCK_PX, 4 * n_rho) // max(w, 1)))
+    idx = np.arange(n_rho + rows * w, dtype=np.intp)
+    wts = np.empty((c, n_rho + rows * w))
+    for r in range(0, h, rows):
+        n = n_rho + min(rows, h - r) * w
+        wts[:, n_rho:n] = flat[r * w:(r + rows) * w].T
+        for a in range(n_angles):
+            idx[n_rho:n] = bins[a, r:r + rows].ravel()
+            for k in range(c):
+                wts[k, :n_rho] = out[a, :, k]
+                out[a, :, k] = np.bincount(idx[:n], weights=wts[k, :n], minlength=n_rho)
     return out
 
 
@@ -134,10 +150,10 @@ def radon_backproject(y, tau, h: int, w: int) -> np.ndarray:
     value iff its forward mapping at that angle lands in that bin, making
     tau=0 the exact adjoint of radon_forward.
 
-    Each output plane is summed in place over angles, in angle order, from
-    1-D gathers out of one contiguous copy of that channel's bins (for one
-    channel the copy is a view). Every gather goes through the same two
-    (h, w) buffers, one for the indices and one for the gathered values.
+    Each row block of each output plane is summed in place over angles, in
+    angle order, from 1-D gathers out of one contiguous copy of that channel's
+    bins (a view for one channel), through two block-sized buffers: one for
+    the indices and one for the gathered values.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 2:
@@ -152,15 +168,18 @@ def radon_backproject(y, tau, h: int, w: int) -> np.ndarray:
     # on every call, and freeing both can hand the pages back to the OS each
     # time. 'clip' never moves an index of the clamped table; the default
     # 'raise' would copy `out` before writing it.
-    idx = np.empty((h, w), dtype=np.intp)
-    vals = np.empty((h, w))
+    rows = max(1, min(h, _BLOCK_PX // max(w, 1)))
+    idx = np.empty((rows, w), dtype=np.intp)
+    vals = np.empty((rows, w))
     for k in range(c):
         col = np.ascontiguousarray(kept[:, :, k])
-        plane = out[:, :, k]
-        for a in range(n_angles):
-            idx[...] = bins[a]
-            np.take(col[a], idx, out=vals, mode="clip")
-            plane += vals
+        for r in range(0, h, rows):
+            n = min(rows, h - r)
+            plane = out[r:r + n, :, k]
+            for a in range(n_angles):
+                idx[:n] = bins[a, r:r + n]
+                np.take(col[a], idx[:n], out=vals[:n], mode="clip")
+                plane += vals[:n]
     return out
 
 

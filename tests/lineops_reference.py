@@ -4,6 +4,8 @@ follow the library.
 - ``neighborhood_pool`` and ``radon_backproject`` as they were when the pool
   tested every pixel of the map and the back-projection gathered all
   channels per angle.
+- ``radon_forward`` as it was when it made one whole-map ``np.bincount``
+  call per angle and channel.
 - ``FusionParams``, ``gated_fuse``, ``TwoLayerMlp`` and ``enhance_proposal``
   as they were when the fusion gate and the pooling MLP held weights. The
   MLP used to sit on ``LfaConfig.mlp``; here it is an argument of
@@ -20,7 +22,34 @@ import numpy as np
 
 from sartrack import lfa
 from sartrack.lfa import Proposal
-from sartrack.lineops import _as_hwc, _rho_bins
+from sartrack.lineops import BIN_TABLE_MAX_BYTES, _as_hwc, _bin_table_size, _rho_bins
+
+
+def radon_forward(x, n_angles: int, n_rho: int) -> np.ndarray:
+    """Accumulate each pixel's value into its (angle, rho) bin.
+
+    Returns a (n_angles, n_rho, C) array. A bin table or output above
+    ``BIN_TABLE_MAX_BYTES`` raises ValueError before either is allocated.
+    """
+    x = _as_hwc(x)
+    h, w, c = x.shape
+    _bin_table_size(h, w, n_angles, n_rho)
+    nbytes = n_angles * n_rho * c * np.dtype(float).itemsize
+    if nbytes > BIN_TABLE_MAX_BYTES:
+        raise ValueError(
+            f"Radon map of shape ({n_angles}, {n_rho}, {c}) needs {nbytes} bytes, "
+            f"above the {BIN_TABLE_MAX_BYTES}-byte limit; use fewer angles or rho bins")
+    bins = _rho_bins(h, w, n_angles, n_rho)
+    flat = x.reshape(h * w, c)
+    out = np.zeros((n_angles, n_rho, c))
+    # bincount casts narrow indices to a fresh intp array on every call;
+    # casting each angle once into one reused buffer allocates nothing.
+    idx = np.empty(h * w, dtype=np.intp)
+    for a in range(n_angles):
+        idx[...] = bins[a].ravel()
+        for k in range(c):
+            out[a, :, k] = np.bincount(idx, weights=flat[:, k], minlength=n_rho)
+    return out
 
 
 def radon_backproject(y, tau, h: int, w: int) -> np.ndarray:

@@ -78,6 +78,25 @@ def test_rho_bins_cold_build_memory_is_table_plus_two_planes(monkeypatch):
     assert peak <= table.nbytes + 2 * 256 * 256 * np.dtype(float).itemsize
 
 
+def test_warm_radon_transforms_memory_is_outputs_kept_bins_and_blocks():
+    """Past its outputs and the kept-bin copy, a warm forward and back pass at
+    512 x 512 allocates O(block) buffers; whole-map intp index and value
+    planes (4 MB) do not fit."""
+    x = np.random.default_rng(0).random((512, 512))
+    n_angles, n_rho = default_bins(512, 512)
+    y = radon_forward(x, n_angles, n_rho)
+    tau = float(y.mean())
+    tracemalloc.start()
+    try:
+        y = radon_forward(x, n_angles, n_rho)
+        out = radon_backproject(y, tau, 512, 512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    blocks = 4 * (lineops._BLOCK_PX + 4 * n_rho) * np.dtype(np.intp).itemsize
+    assert peak <= out.nbytes + 2 * y.nbytes + blocks
+
+
 def test_rho_bins_rejects_oversized_table_before_allocating():
     x = np.zeros((64, 64, 1))
     tracemalloc.start()

@@ -1,4 +1,4 @@
-"""The windowed neighborhood pool, the per-channel back-projection, the fixed
+"""The windowed neighborhood pool, the row-blocked Radon transforms, the fixed
 fusion and the rectified proposal enhancement against the frozen
 implementations in lineops_reference.py, bitwise."""
 import math
@@ -10,10 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sartrack import lfa
+from sartrack import lfa, lineops
 from sartrack.core import BBox
 from sartrack.lfa import LfaConfig, Proposal, enhance_proposal, neighborhood_pool
-from sartrack.lineops import gated_fuse, radon_backproject
+from sartrack.lineops import gated_fuse, radon_backproject, radon_forward
 
 _SEED = st.integers(0, 2**32 - 1)
 
@@ -63,36 +63,6 @@ def test_neighborhood_pool_equals_full_map_reference(case):
                           ref.neighborhood_pool(a, center, radius))
 
 
-@st.composite
-def _backproject_case(draw):
-    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
-    # Up to 256 bins the table is uint8; 250-300 also reaches uint16.
-    n_angles = draw(st.integers(1, 20))
-    n_rho = draw(st.one_of(st.integers(1, 30), st.integers(250, 300)))
-    c = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(_SEED))
-    y = rng.standard_normal((n_angles, n_rho, c))
-    y[rng.random(y.shape) < 0.2] = 0.0
-    y[rng.random(y.shape) < 0.05] = -0.0
-    per_channel = draw(st.booleans())
-    tau = draw(st.one_of(
-        st.just(-math.inf), st.just(0.0), st.floats(-3, 3),
-        st.sampled_from([float(v) for v in y.ravel()[:5]])))
-    if per_channel:
-        tau = np.array([tau] + [float(v) for v in rng.uniform(-1, 2, c - 1)])
-    if c == 1 and draw(st.booleans()):
-        y = y[:, :, 0]
-    return y, tau, h, w
-
-
-@settings(max_examples=200, deadline=None)
-@given(_backproject_case())
-def test_radon_backproject_equals_all_channel_reference(case):
-    y, tau, h, w = case
-    assert _bitwise_equal(radon_backproject(y, tau, h, w),
-                          ref.radon_backproject(y, tau, h, w))
-
-
 def _values(rng, shape, fill):
     """Random finite values of one kind: normal, all -0.0, signed zeros, or a
     mix of normal values, signed zeros and large magnitudes."""
@@ -109,6 +79,109 @@ def _values(rng, shape, fill):
 
 
 _FILL = st.sampled_from(["normal", "-0.0", "zeros", "mixed"])
+
+
+def _same_bits(got, want):
+    """Equal shapes, dtypes and bits; unlike _bitwise_equal, NaNs with equal
+    bits are equal, since sums of large values can overflow to inf - inf."""
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _block_px(draw, h, w):
+    """A block of 1 px, of a row count that does not divide h, or at least
+    the whole map."""
+    ragged = [r for r in range(2, h) if h % r]
+    kinds = ["1px", "whole"] + (["ragged"] if ragged else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "1px":
+        return 1
+    if kind == "ragged":
+        return draw(st.sampled_from(ragged)) * w
+    return h * w + draw(st.sampled_from([0, 1, 1 << 20]))
+
+
+@st.composite
+def _radon_case(draw, min_side=0):
+    """A map, its bin counts and a block size. Up to 256 bins the table is
+    uint8; 250-300 also reaches uint16. The forward transform's blocks hold at
+    least 4 * n_rho pixels, so small bin counts give it several blocks."""
+    h, w = draw(st.integers(min_side, 40)), draw(st.integers(min_side, 40))
+    n_angles = draw(st.integers(1, 20))
+    n_rho = draw(st.one_of(st.integers(1, 30), st.integers(250, 300)))
+    c = draw(st.integers(1, 3))
+    return h, w, n_angles, n_rho, c, draw(_block_px(h, w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_radon_case(), _FILL, _SEED)
+def test_radon_forward_equals_whole_map_reference_at_any_block(case, fill, seed):
+    h, w, n_angles, n_rho, c, block_px = case
+    x = _values(np.random.default_rng(seed), (h, w, c), fill)
+    if c == 1 and seed % 2:
+        x = x[:, :, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = ref.radon_forward(x, n_angles, n_rho)
+        with mock.patch.object(lineops, "_BLOCK_PX", block_px):
+            got = radon_forward(x, n_angles, n_rho)
+    assert _same_bits(got, want)
+
+
+@st.composite
+def _backproject_case(draw):
+    h, w, n_angles, n_rho, c, block_px = draw(_radon_case())
+    rng = np.random.default_rng(draw(_SEED))
+    y = _values(rng, (n_angles, n_rho, c), draw(_FILL))
+    tau = draw(st.one_of(
+        st.just(-math.inf), st.just(0.0), st.just(-0.0), st.floats(-3, 3),
+        st.sampled_from([float(v) for v in y.ravel()[:5]])))
+    if draw(st.booleans()):
+        tau = np.array([tau] + [float(v) for v in rng.uniform(-1, 2, c - 1)])
+    if c == 1 and draw(st.booleans()):
+        y = y[:, :, 0]
+    return y, tau, h, w, block_px
+
+
+@settings(max_examples=300, deadline=None)
+@given(_backproject_case())
+def test_radon_backproject_equals_all_channel_reference(case):
+    y, tau, h, w, block_px = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = ref.radon_backproject(y, tau, h, w)
+        with mock.patch.object(lineops, "_BLOCK_PX", block_px):
+            got = radon_backproject(y, tau, h, w)
+    assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("block_px", [1, 25 * 41, 37 * 41])
+def test_radon_transforms_equal_references_on_uint16_table_in_row_blocks(block_px):
+    """260 bins need a uint16 table; at 1 px the forward's 4 * 260-pixel floor
+    gives blocks of 25 rows, which do not divide 37."""
+    rng = np.random.default_rng(block_px)
+    x = _values(rng, (37, 41, 2), "mixed")
+    x[:, :, 1] = -0.0
+    with mock.patch.object(lineops, "_BLOCK_PX", block_px), \
+            np.errstate(over="ignore", invalid="ignore"):
+        y = radon_forward(x, 9, 260)
+        assert _same_bits(y, ref.radon_forward(x, 9, 260))
+        assert lineops._bin_tables[(37, 41, 9, 260)].dtype == np.uint16
+        tau = np.array([0.0, -0.0])
+        assert _same_bits(radon_backproject(y, tau, 37, 41),
+                          ref.radon_backproject(y, tau, 37, 41))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_radon_case(min_side=1), st.sampled_from(["normal", "-0.0", "zeros"]), _SEED,
+       st.one_of(st.none(), st.floats(-3, 3)))
+def test_lffm_equals_lffm_through_reference_transforms(case, fill, seed, tau):
+    h, w, n_angles, n_rho, c, block_px = case
+    x = _values(np.random.default_rng(seed), (h, w, c), fill)
+    with mock.patch.object(lineops, "radon_forward", ref.radon_forward), \
+            mock.patch.object(lineops, "radon_backproject", ref.radon_backproject):
+        want = lineops.lffm(x, n_angles, n_rho, tau)
+    with mock.patch.object(lineops, "_BLOCK_PX", block_px):
+        got = lineops.lffm(x, n_angles, n_rho, tau)
+    assert all(_same_bits(g, r) for g, r in zip(got, want))
 
 
 @settings(max_examples=200, deadline=None)
