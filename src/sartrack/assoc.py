@@ -72,7 +72,8 @@ def hungarian(cost, max_cost: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def iou_cost(track_boxes, det_boxes) -> np.ndarray:
-    return 1.0 - iou(track_boxes, det_boxes)
+    cost = iou(track_boxes, det_boxes)
+    return np.subtract(1.0, cost, out=cost)
 
 
 def appearance_cost(track_emb: np.ndarray, track_has: np.ndarray,
@@ -117,6 +118,8 @@ class Tracker:
     rows with masked array expressions. An append-only log keeps one
     (frame, ids, box rows) entry per frame for the matched and spawned rows,
     so a track's logged boxes number its hits; `trajectories()` reads it.
+    Stage 1 builds appearance and gate terms only on a frame where a
+    high-score detection has a look and tau_v > 0; other frames match on IoU.
     """
 
     # Each column's dtype and the shape of one row.
@@ -166,7 +169,8 @@ class Tracker:
             self.emb[r[n > 0]] = mixed[n > 0] / n[n > 0, None]
         v_obs = np.where(np.isnan(ma), np.minimum(speeds / speed_max[1:], 1.0), ma)
         va = self.cfg.v_ema_alpha
-        self.v_ema[rows] = np.clip(va * self.v_ema[rows] + (1.0 - va) * v_obs, 0.0, 1.0)
+        v = va * self.v_ema[rows] + (1.0 - va) * v_obs
+        self.v_ema[rows] = np.minimum(np.maximum(0.0, v), 1.0)  # np.clip's bits, -0.0 kept
 
     def step(self, frame: int, detections: DetectionBlock | list[Detection],
              cmc: Affine2x3 | None = None) -> list[tuple[int, BBox]]:
@@ -199,23 +203,29 @@ class Tracker:
 
         def assign(rows, dj, cost, max_cost, gates=None):
             """Match pool rows to detections dj; returns those left unmatched."""
-            cost = np.where(self.cls[rows][:, None] != d_cls[dj][None, :], FORBIDDEN_COST, cost)
+            cross = self.cls[rows][:, None] != d_cls[dj]
+            if cross.any():
+                cost[cross] = FORBIDDEN_COST
             ti, tj = hungarian(cost, max_cost)
             pairs.append((rows[ti], dj[tj],
                           np.ones(len(ti), dtype=bool) if gates is None else gates[ti, tj]))
             matched[rows[ti]] = True
             return np.delete(dj, tj)
 
-        # Stage 1: confirmed + lost tracks vs high-score detections.
+        # Stage 1: confirmed + lost tracks vs high-score detections. With no look
+        # there, or at tau_v = 0, the blend would be the IoU cost and take no look.
         state = self.state
         pool1 = np.flatnonzero(state != _TENT)
         rest_high = high
         if pool1.size and high.size:
-            acost = appearance_cost(self.emb[pool1], self.has_emb[pool1], d_emb[high], d_has[high])
-            v_t, v_d = self.v_ema[pool1], d_v[high]
-            gate = motion_gate(v_t, v_d, cfg)
-            fused = maa_fuse(iou_cost(pred_boxes[pool1], boxes[high]), acost, v_t, v_d, cfg, gate)
-            rest_high = assign(pool1, high, fused, cfg.match_thresh_stage1, gate)
+            cost, gate = iou_cost(pred_boxes[pool1], boxes[high]), None
+            if cfg.tau_v > 0 and d_has[high].any():
+                acost = appearance_cost(self.emb[pool1], self.has_emb[pool1], d_emb[high],
+                                        d_has[high])
+                v_t, v_d = self.v_ema[pool1], d_v[high]
+                gate = motion_gate(v_t, v_d, cfg)
+                cost = maa_fuse(cost, acost, v_t, v_d, cfg, gate)
+            rest_high = assign(pool1, high, cost, cfg.match_thresh_stage1, gate)
 
         # Stage 2: still-confirmed leftovers vs low-score detections, IoU only.
         pool2 = pool1[~matched[pool1] & (state[pool1] == _CONF)]

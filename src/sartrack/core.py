@@ -51,7 +51,7 @@ _XYWH = attrgetter("x", "y", "w", "h")
 def as_xywh(boxes) -> np.ndarray:
     """A sequence of BBox, or an array of (x, y, w, h) rows, as (N, 4)."""
     if isinstance(boxes, np.ndarray):
-        return boxes.reshape(-1, 4)
+        return boxes.astype(float, copy=False).reshape(-1, 4)
     return np.fromiter(chain.from_iterable(map(_XYWH, boxes)), float).reshape(-1, 4)
 
 
@@ -93,9 +93,14 @@ def iou_of(a, b) -> np.ndarray:
     """Intersection-over-union of boxes given as (x, y, w, h) columns, where
     a's columns broadcast against b's; the one IoU formula."""
     (ax, ay, aw, ah), (bx, by, bw, bh) = a, b
-    inter = ((np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)).clip(min=0.0)
-             * (np.minimum(ay + ah, by + bh) - np.maximum(ay, by)).clip(min=0.0))
-    return inter / (aw * ah + bw * bh - inter)
+    # Fresh result arrays are reused in place; the inputs are only read.
+    iw = np.minimum(ax + aw, bx + bw)
+    iw -= np.maximum(ax, bx)
+    ih = np.minimum(ay + ah, by + bh)
+    ih -= np.maximum(ay, by)
+    inter = np.multiply(np.maximum(iw, 0.0, out=iw), np.maximum(ih, 0.0, out=ih), out=iw)
+    union = np.add(aw * ah, bw * bh, out=ih)
+    return np.divide(inter, np.subtract(union, inter, out=union), out=union)
 
 
 def iou(boxes_a, boxes_b) -> np.ndarray:

@@ -192,6 +192,32 @@ def test_step_builds_the_motion_gate_once(monkeypatch):
     assert len(calls) == 3  # frames 2-4 reach stage 1
 
 
+@pytest.mark.parametrize("case", ["no looks", "low-score looks", "tau_v = 0", "one look"])
+def test_look_free_stage_1_builds_no_appearance_terms(monkeypatch, case):
+    """Stage 1 builds the appearance cost, the gate and the blend only on a
+    frame where a high-score detection has a look and tau_v > 0; every other
+    frame is matched on its IoU cost alone."""
+    calls = {name: 0 for name in ("iou_cost", "appearance_cost", "motion_gate", "maa_fuse")}
+
+    def counted(name):
+        fn = getattr(assoc, name)
+        return lambda *a: calls.__setitem__(name, calls[name] + 1) or fn(*a)
+
+    for name in calls:
+        monkeypatch.setattr(assoc, name, counted(name))
+    e = np.array([1.0, 0.0])
+    tau_v = 0.0 if case == "tau_v = 0" else 0.5
+    tracker = Tracker(TrackerConfig(n_init=1, tau_v=tau_v))
+    for f in range(1, 5):
+        high_emb = e if case == "tau_v = 0" or (case == "one look" and f == 3) else None
+        low_emb = e if case == "low-score looks" else None
+        tracker.step(f, [det(f, 10, 10, ma=0.2, emb=high_emb), det(f, 40, 40, ma=0.9),
+                         det(f, 70, 70, score=0.3, emb=low_emb)])
+    built = 1 if case == "one look" else 0
+    assert calls == {"iou_cost": 3, "appearance_cost": built, "motion_gate": built,
+                     "maa_fuse": built}
+
+
 def test_spawn_path_n_init_1():
     tracker = Tracker(TrackerConfig(n_init=1))
     out = tracker.step(1, [det(1, 10, 10)])

@@ -10,7 +10,7 @@ import pytest
 import sartrack
 from metrics_reference import iou as scalar_iou
 from sartrack import io as sio
-from sartrack.core import BBox, Detection, TrajectorySet, iou
+from sartrack.core import BBox, Detection, TrajectorySet, as_xywh, iou, iou_of
 
 
 def iou1(a, b):
@@ -41,17 +41,74 @@ def test_iou_symmetric_and_bounded():
         assert 0.0 <= v <= 1.0
 
 
+def _clipped_iou(a, b):
+    """The IoU kernel as it read before it worked in place, with temporaries
+    and `.clip(min=0.0)`."""
+    (ax, ay, aw, ah), (bx, by, bw, bh) = a, b
+    inter = ((np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)).clip(min=0.0)
+             * (np.minimum(ay + ah, by + bh) - np.maximum(ay, by)).clip(min=0.0))
+    return inter / (aw * ah + bw * bh - inter)
+
+
+# Boxes that are disjoint, touch at an edge or a corner, nest, or repeat.
+_EDGE_BOXES = [BBox(0, 0, 2, 2), BBox(2, 0, 2, 2), BBox(2, 2, 1, 1), BBox(0.5, 0.5, 1, 1),
+               BBox(-3, -3, 10, 10), BBox(5, 5, 1, 1), BBox(0, 0, 2, 2), BBox(-2, 0, 2, 2)]
+
+
 def test_iou_matrix_equals_scalar_formula_bitwise():
     rng = np.random.default_rng(3)
+    cases = [(_EDGE_BOXES, _EDGE_BOXES)]
     for _ in range(200):
         n, m = rng.integers(0, 6, 2)
         a = [BBox(*rng.uniform(0, 30, 2), *rng.uniform(0.5, 20, 2)) for _ in range(n)]
         b = [BBox(*rng.uniform(0, 30, 2), *rng.uniform(0.5, 20, 2)) for _ in range(m)]
-        a += b[:1]  # an exact copy scores exactly 1
+        cases.append((a + b[:1], b))  # an exact copy scores exactly 1
+    for a, b in cases:
         got = iou(a, b)
-        assert got.shape == (len(a), m)
-        want = np.array([[scalar_iou(x, y) for y in b] for x in a]).reshape(len(a), m)
+        assert got.shape == (len(a), len(b))
+        want = np.array([[scalar_iou(x, y) for y in b] for x in a]).reshape(len(a), len(b))
         assert np.array_equal(got, want)
+        cols_a, cols_b = as_xywh(a).T, as_xywh(b).T
+        assert np.array_equal(got, _clipped_iou(cols_a[:, :, None], cols_b))
+    edges = iou(_EDGE_BOXES, _EDGE_BOXES)
+    assert edges[0, 1] == edges[0, 2] == edges[0, 5] == 0.0  # disjoint or touching
+    assert edges[0, 6] == 1.0 and edges[0, 3] == 0.25 and edges[0, 4] == 0.04
+
+
+def test_iou_with_nan_boxes_equals_the_clipped_formula_bitwise():
+    rng = np.random.default_rng(4)
+    a = np.vstack([as_xywh(_EDGE_BOXES), rng.uniform(0.5, 20, (20, 4))])
+    a[rng.random(a.shape) < 0.1] = np.nan
+    got = iou(a, a[::-1])
+    want = _clipped_iou(a.T[:, :, None], a[::-1].T)
+    assert np.isnan(got).any() and not np.isnan(got).all()
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_iou_kernels_leave_read_only_inputs_unwritten():
+    """iou and iou_of read their inputs and write only their own result:
+    the frozen columns of a TrajectorySet go in as they are."""
+    rng = np.random.default_rng(5)
+    boxes = np.vstack([as_xywh(_EDGE_BOXES), rng.uniform(0.5, 20, (12, 4))])
+    ts = TrajectorySet(np.arange(len(boxes)), np.ones(len(boxes), dtype=np.int64), boxes)
+    assert not ts.boxes.flags.writeable
+    before = ts.boxes.copy()
+    cols = ts.boxes.T
+    full = iou(ts.boxes, ts.boxes)
+    assert np.array_equal(full, iou_of(cols[:, :, None], cols))
+    # The 1-D pair columns and the empty inputs that metrics passes.
+    gi, pj = np.array([0, 0, 3, 8, 19]), np.array([1, 6, 0, 8, 2])
+    pairs = iou_of(cols[:, gi], cols[:, pj])
+    assert pairs.shape == (5,) and np.array_equal(pairs, full[gi, pj])
+    none = np.zeros(0, dtype=np.intp)
+    assert iou_of(cols[:, none], cols[:, none]).shape == (0,)
+    assert iou(ts.boxes[:0], ts.boxes).shape == (0, len(boxes))
+    assert iou(ts.boxes, []).shape == (len(boxes), 0)
+    assert np.array_equal(ts.boxes, before)
+    # Integer rows are read as floats, not written into.
+    ints = np.array([[0, 0, 2, 2], [1, 0, 2, 2]])
+    assert np.array_equal(iou(ints, ints), iou(ints.astype(float), ints.astype(float)))
 
 
 def test_bbox_rejects_degenerate():

@@ -234,3 +234,66 @@ def test_tracker_equals_reference_on_synth_scene(use_maa):
     assert len({d.class_id for ds in dets.values() for d in ds}) == 3
     assert sum(d.embedding is not None for ds in dets.values() for d in ds) > 0
     _assert_trackers_agree(dets, cmc, TrackerConfig(), use_maa)
+
+
+def _look_scene(rng, n_targets, n_frames, emb_dim, n_classes):
+    """Slow targets whose looks come and go by frame: each frame has no
+    look, looks on its low-score detections only, or looks on a random
+    share of its detections. Tracks spawned without a look later meet
+    detections with one, so the motion gate alone decides whether they take
+    it. Returns ({frame: detections}, {frame: None})."""
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    pos = rng.uniform(0.0, 100.0, (n_targets, 2))
+    vel = rng.normal(0.0, 1.0, (n_targets, 2))
+    size = rng.uniform(4.0, 12.0, (n_targets, 2))
+    cls = rng.integers(0, n_classes, n_targets)
+    base = [unit(rng.normal(size=emb_dim)) for _ in range(n_targets)]
+    dets = {}
+    for f in range(1, n_frames + 1):
+        mode = rng.choice(("none", "low", "some"))
+        frame = []
+        for k in range(n_targets):
+            if rng.random() < 0.1:
+                continue
+            score = float(rng.choice(_SCORES))
+            looks = score < 0.6 if mode == "low" else mode == "some" and rng.random() < 0.6
+            emb = unit(base[k] + rng.normal(0.0, 0.2, emb_dim)) if looks else None
+            ma = float(rng.uniform(0.0, 0.6)) if rng.random() < 0.7 else None
+            x, y = pos[k] + vel[k] * f + rng.normal(0.0, 0.3, 2)
+            frame.append(Detection(f, BBox(x, y, *size[k]), score, int(cls[k]), ma, emb))
+        dets[f] = frame
+    return dets, dict.fromkeys(dets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEED, n_targets=st.integers(1, 6), n_frames=st.integers(1, 25),
+       emb_dim=st.sampled_from((2, 4)), n_classes=st.integers(1, 2),
+       tau_v=st.sampled_from((TrackerConfig().tau_v, 0.0)), n_init=st.integers(1, 3))
+def test_tracker_equals_reference_as_looks_come_and_go(seed, n_targets, n_frames, emb_dim,
+                                                       n_classes, tau_v, n_init):
+    rng = np.random.default_rng(seed)
+    dets, cmc = _look_scene(rng, n_targets, n_frames, emb_dim, n_classes)
+    _assert_trackers_agree(dets, cmc, TrackerConfig(n_init=n_init, tau_v=tau_v), True)
+
+
+@pytest.mark.parametrize("tau_v", [TrackerConfig().tau_v, 0.0])
+def test_tracker_equals_reference_on_a_scene_of_every_look_pattern(tau_v):
+    """One fixed scene holds look-free frames, frames whose only looks are
+    on low-score detections, and frames with high-score looks. Tracks
+    spawned without a look take their first one only while the gate stays
+    shut, so never at tau_v = 0."""
+    dets, cmc = _look_scene(np.random.default_rng(8), 6, 40, 4, 2)
+    patterns = {(any(d.embedding is not None for d in ds if d.score >= 0.6),
+                 any(d.embedding is not None for d in ds if d.score < 0.6))
+                for ds in dets.values()}
+    assert {(False, False), (False, True), (True, True)} <= patterns
+    cfg = TrackerConfig(tau_v=tau_v)
+    tracker, first_looks = Tracker(cfg), 0
+    for f in sorted(dets):
+        lookless = set(tracker.ids[~tracker.has_emb].tolist())
+        tracker.step(f, dets[f], cmc[f])
+        first_looks += len(lookless & set(tracker.ids[tracker.has_emb].tolist()))
+    assert (first_looks > 0) == (tau_v > 0)
+    _assert_trackers_agree(dets, cmc, cfg, True)
