@@ -144,12 +144,12 @@ class Detection:
             raise ValueError(f"motion_awareness must be in [0,1], got {self.motion_awareness}")
         if self.embedding is not None:
             emb = np.asarray(self.embedding, dtype=float)
-            flat = emb.ravel(order="K")
+            if emb.ndim != 1:
+                raise ValueError(f"embedding must be 1-D, got shape {emb.shape}")
+            flat = np.ascontiguousarray(emb)  # a strided dot sums in another order
             n = math.sqrt(flat.dot(flat))  # np.linalg.norm(emb), bit for bit
             if abs(n - 1.0) > 1e-6:
                 raise ValueError(f"embedding must be unit norm, got norm {n}")
-            if emb.ndim != 1:
-                raise ValueError(f"embedding must be 1-D, got shape {emb.shape}")
             object.__setattr__(self, "embedding", emb)
 
 

@@ -14,20 +14,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 import os
 import re
 import struct
 import sys
 import typing
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, compress, groupby, repeat
 
 import numpy as np
 
 from .core import (COORD_MAX, BBox, Detection, DetectionBlock, TrajectorySet, as_xywh,
-                   embedding_dim_error, int_column, row_norms, run_starts)
+                   int_column, row_norms, run_starts)
 from .lfa import Proposal
 from .motion import Affine2x3
 
@@ -62,8 +60,6 @@ class MotRecord:
     class_id: int
     visibility: float
     motion_awareness: float | None = None
-    # (path, line number) of a parsed record, so later checks can name it.
-    source: tuple[str, int] | None = field(default=None, compare=False, repr=False)
 
     def render(self) -> str:
         parts = [str(self.frame), str(self.track_id),
@@ -189,62 +185,23 @@ def _repeats(keys: list) -> np.ndarray:
     return np.array([first.setdefault(k, i) != i for i, k in enumerate(keys)], dtype=bool)
 
 
-class MotTable(Sequence):
-    """MOT records as columns: ``frame``, ``track_id`` and ``class_id``
-    (``int_column``s), and views of ``cols`` (N, 7): ``boxes`` (N, 4),
-    ``conf``, ``visibility`` and ``ma`` (motion awareness, NaN where absent).
-    Indexing builds each MotRecord when asked for, with its ``(path, line)``
-    source; a table made by ``of`` hands back the records it was made from.
-    A table equals any sequence of equal records."""
+class MotTable:
+    """A MOT file's records as columns, sorted by frame (stable): ``frame``,
+    ``track_id`` and ``class_id`` (``int_column``s), and views of ``cols``
+    (N, 7): ``boxes`` (N, 4), ``conf``, ``visibility`` and ``ma`` (motion
+    awareness, NaN where absent); ``path`` and each row's line in
+    ``line_nos``, so the grouping can name a record."""
 
     __slots__ = ("frame", "track_id", "class_id", "boxes", "conf", "visibility", "ma",
-                 "_path", "_line_nos", "_records")
+                 "path", "line_nos")
 
-    def __init__(self, frame, track_id, class_id, cols, path=None, line_nos=None, records=None):
+    def __init__(self, frame, track_id, class_id, cols, path, line_nos):
         self.frame, self.track_id, self.class_id = frame, track_id, class_id
         self.boxes, self.conf, self.visibility, self.ma = cols[:, :4], *cols[:, 4:].T
-        self._path, self._line_nos, self._records = path, line_nos, records
-
-    @classmethod
-    def of(cls, records) -> "MotTable":
-        """The columns of MotRecords, in their order. A motion awareness
-        that is NaN, not None, is kept as inf, which the range check turns
-        back."""
-        records = list(records)
-        cols = np.array([(r.x, r.y, r.w, r.h, r.conf, r.visibility, math.nan if r.motion_awareness
-                          is None else r.motion_awareness) for r in records], float).reshape(-1, 7)
-        given = np.array([r.motion_awareness is not None for r in records], dtype=bool)
-        cols[np.isnan(cols[:, 6]) & given, 6] = math.inf
-        return cls(*(int_column([getattr(r, k) for r in records])
-                     for k in ("frame", "track_id", "class_id")), cols, records=records)
-
-    def _build(self, rows: slice) -> list[MotRecord]:
-        if self._records is not None:
-            return self._records[rows]
-        x, y, w, h = self.boxes[rows].T.tolist()
-        ma = [None if math.isnan(v) else v for v in self.ma[rows].tolist()]
-        return list(map(MotRecord, self.frame[rows].tolist(), self.track_id[rows].tolist(),
-                        x, y, w, h, self.conf[rows].tolist(), self.class_id[rows].tolist(),
-                        self.visibility[rows].tolist(), ma,
-                        [(self._path, n) for n in self._line_nos[rows]]))
+        self.path, self.line_nos = path, line_nos
 
     def __len__(self) -> int:
         return len(self.conf)
-
-    def __getitem__(self, i) -> MotRecord:
-        i = range(len(self))[i]
-        return self._build(slice(i, i + 1))[0]
-
-    def __iter__(self):
-        return iter(self._build(slice(None)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"MotTable({self._build(slice(None))!r})"
 
 
 def parse_mot_file(path) -> MotTable:
@@ -268,78 +225,61 @@ def parse_mot_file(path) -> MotTable:
                     [line_nos[i] for i in order.tolist()])
 
 
-def records_to_detections(records: Sequence[MotRecord],
-                          embeddings: dict | None = None) -> dict[int, DetectionBlock]:
-    """Group records into one DetectionBlock per frame, in frame order. A
-    record that makes no Detection is an error at its line, and so is an
-    embedding whose dimension differs from the first one's in frame order;
-    the first such record in the records' order is named.
+class Embeddings(typing.NamedTuple):
+    """An embedding file's lines as columns, in line order: ``frame`` and
+    ``index`` (``int_column``s), unit vectors ``vecs`` (N, D), and ``path``."""
+    frame: np.ndarray
+    index: np.ndarray
+    vecs: np.ndarray
+    path: object
 
-    ``embeddings`` maps (frame, index within that frame) to a unit vector.
-    """
-    t = records if isinstance(records, MotTable) else MotTable.of(records)
-    embeddings = embeddings or {}
-    order = np.argsort(t.frame, kind="stable")
-    frame = t.frame[order]
-    first = run_starts(frame)
-    at = np.arange(len(frame))
-    pos = at - np.maximum.accumulate(np.where(first, at, 0))
-    vecs = list(map(embeddings.get, zip(frame.tolist(), pos.tolist())))
-    has = np.array([v is not None for v in vecs], dtype=bool)
-    vecs = list(compress(vecs, has))
-    # A vector that is not 1-D fits no width; the first 1-D one sets it.
-    dims = np.array([len(v) if np.ndim(v) == 1 else -1 for v in vecs], dtype=np.intp)
-    width = next(iter(dims[dims >= 0].tolist()), 0)
-    fits = dims == width
-    same = np.flatnonzero(has)[fits]
-    emb = np.zeros((len(frame), width))
-    if len(same):
-        emb[same] = np.array(list(compress(vecs, fits)), dtype=float)
-    boxes, conf, cls, ma = t.boxes[order], t.conf[order], t.class_id[order], t.ma[order]
-    score = np.where(conf < 0.0, 0.0, conf)  # min(max(conf, 0), 1), -0.0 and NaN kept
+
+def records_to_detections(t: MotTable, emb: Embeddings | None = None) -> dict[int, DetectionBlock]:
+    """Group a MotTable into one DetectionBlock per frame, in frame order,
+    each row with the embedding whose (frame, index) names it: index i is the
+    frame's i-th row. A class id the tracker cannot pack (>= 2**63) is an
+    error at its line; then so is an embedding that names no row, the first
+    in its file's order."""
+    score = np.where(t.conf < 0.0, 0.0, t.conf)  # min(max(conf, 0), 1), -0.0 kept
     score = np.where(score > 1.0, 1.0, score)
-    cls = np.where(cls < 0, 0, cls)
-    # Every row with an embedding of another dimension stays flagged.
-    bad = has.copy()
-    bad[same] = np.abs(row_norms(emb[same]) - 1.0) > 1e-6
-    bad |= ((frame < 1) | ~((boxes[:, 2] > 0) & (boxes[:, 3] > 0))
-            | ~((score >= 0.0) & (score <= 1.0)) | (cls >= 2**63) | (ma < 0.0) | (ma > 1.0))
-    for k in sorted(np.flatnonzero(bad).tolist(), key=order.__getitem__):
-        r, i = t[order[k]], int(pos[k])
-        vec = embeddings.get((r.frame, i))
-        try:
-            Detection(r.frame, BBox(r.x, r.y, r.w, r.h), min(max(r.conf, 0.0), 1.0),
-                      max(r.class_id, 0), r.motion_awareness, vec)
-            if vec is not None and len(vec) != emb.shape[1]:
-                raise embedding_dim_error(r.frame, i, len(vec), emb.shape[1])
-        except ValueError as e:
-            raise (ParseError(*r.source, e) if r.source else e) from None
+    cls = np.where(t.class_id < 0, 0, t.class_id)
+    _check(t.path, t.line_nos, None, [
+        (cls >= 2**63, lambda i: f"class_id must be in [0, 2**63 - 1], got {cls[i]}")])
     cls = cls.astype(np.int64)
-    for col in (boxes, score, cls, ma, emb, has):
+    starts = np.flatnonzero(run_starts(t.frame))
+    emb_cols = np.zeros((len(t), 0 if emb is None else emb.vecs.shape[1]))
+    has = np.zeros(len(t), dtype=bool)
+    if emb is not None and len(emb.frame):
+        # Each key's frame run, by one sorted search; a key past the last
+        # frame lands on a pad whose frame (0) and count (0) match nothing.
+        frames, counts = np.r_[t.frame[starts], 0], np.r_[np.diff(np.r_[starts, len(t)]), 0]
+        run = np.searchsorted(frames[:-1], emb.frame)
+        named = (frames[run] == emb.frame) & (emb.index < counts[run])
+        if not named.all():
+            k = int(np.argmin(named))
+            raise ValueError(f"{emb.path}: frame {emb.frame[k]} index {emb.index[k]} "
+                             f"names no detection in {t.path}")
+        rows = starts[run] + emb.index.astype(np.int64)
+        emb_cols[rows], has[rows] = emb.vecs, True
+    boxes, ma = t.boxes.copy(), t.ma.copy()
+    for col in (boxes, score, cls, ma, emb_cols, has):
         col.flags.writeable = False
-    starts = np.flatnonzero(first).tolist()
-    return {f: DetectionBlock(f, boxes[a:b], score[a:b], cls[a:b], ma[a:b], emb[a:b], has[a:b])
-            for f, a, b in zip(frame[starts].tolist(), starts, starts[1:] + [len(frame)])}
+    bounds = starts.tolist() + [len(t)]
+    return {f: DetectionBlock(f, boxes[a:b], score[a:b], cls[a:b], ma[a:b], emb_cols[a:b], has[a:b])
+            for f, a, b in zip(t.frame[starts].tolist(), bounds, bounds[1:])}
 
 
-def records_to_trajectories(records: Sequence[MotRecord]) -> TrajectorySet:
-    """Group records by track id; a second box of one track in one frame is
-    an error at that record's line (the first such record in frame order)."""
-    t = records if isinstance(records, MotTable) else MotTable.of(records)
+def records_to_trajectories(t: MotTable) -> TrajectorySet:
+    """Group a MotTable by track id; a second box of one track in one frame
+    is an error at that record's line (the first such record in frame
+    order)."""
     order = np.lexsort((t.frame, t.track_id))  # stable: repeats keep their order
-    tid, frame, boxes = t.track_id[order], t.frame[order], t.boxes[order]
-    # A repeated (track, frame) or a box that is no BBox; the first in frame
-    # order is named, a repeat before a bad box of the same record.
-    again = ~run_starts(tid) & ~run_starts(frame)
-    bad = np.flatnonzero(again | ~((boxes[:, 2] > 0) & (boxes[:, 3] > 0))).tolist()
-    if bad:
-        k = min(bad, key=lambda k: (t.frame[order[k]], order[k]))
-        r = t[order[k]]
-        if not again[k]:
-            BBox(r.x, r.y, r.w, r.h)  # raises its own error
-        msg = f"track {r.track_id} already has a box in frame {r.frame}"
-        raise ParseError(*r.source, msg) if r.source else ValueError(msg)
-    return TrajectorySet(tid, frame, boxes)
+    tid, frame = t.track_id[order], t.frame[order]
+    again = np.zeros(len(t), dtype=bool)
+    again[order] = ~run_starts(tid) & ~run_starts(frame)
+    _check(t.path, t.line_nos, None, [
+        (again, lambda i: f"track {t.track_id[i]} already has a box in frame {t.frame[i]}")])
+    return TrajectorySet(tid, frame, t.boxes[order])
 
 
 def _fmt_column(values) -> list[str]:
@@ -378,13 +318,12 @@ def write_mot_file(tset: TrajectorySet, path) -> None:
         fh.write(text)
 
 
-def parse_embeddings(path) -> dict[tuple[int, int], np.ndarray]:
-    """Lines of `frame det_index v1 ... vd`, one per key; vectors are L2-normalized.
-    `det_index` is the 0-based position among that frame's detections."""
+def parse_embeddings(path) -> Embeddings:
+    """Lines of `frame det_index v1 ... vd`, one per key, as Embeddings in
+    line order; vectors are L2-normalized. `det_index` is the 0-based
+    position among that frame's detections."""
     line_nos, rows, (frame, idx), err = _table(
         path, None, (0, 1), lambda n: "expected `frame index v1 ... vd`" if n < 3 else None, 3)
-    frame, idx = frame.tolist(), idx.tolist()
-    keys = list(zip(frame, idx))
     dims = np.count_nonzero(~np.isnan(rows), axis=1) - 2
     vecs = rows[:, 2:2 + (dims[0] if len(dims) else 0)]
     with np.errstate(over="ignore"):
@@ -395,9 +334,10 @@ def parse_embeddings(path) -> dict[tuple[int, int], np.ndarray]:
         (dims != dims[:1], lambda i: f"dimension {dims[i]} != first dimension {dims[0]}"),
         (~((norms >= _NORM_MIN) & (norms < math.inf)),
          lambda i: f"embedding of norm {norms[i]} cannot be normalized"),
-        (_repeats(keys), lambda i: f"repeated frame {frame[i]} index {idx[i]}"),
+        (_repeats(list(zip(frame.tolist(), idx.tolist()))),
+         lambda i: f"repeated frame {frame[i]} index {idx[i]}"),
     ])
-    return dict(zip(keys, vecs / norms[:, None]))
+    return Embeddings(frame, idx, vecs / norms[:, None], path)
 
 
 def write_embeddings(emb: dict[tuple[int, int], np.ndarray], path) -> None:

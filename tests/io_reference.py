@@ -3,8 +3,9 @@ when each format had its own hand-written loop, kept verbatim apart from this
 docstring, the merged imports, and the copies of the three config
 `from_dict` methods (as functions), the synth command's unknown-key check and
 the command line's proposal reader (which raised the command line's own
-`DataError`, here `ValueError`). Record and config classes come from the
-library.
+`DataError`, here `ValueError`). Config classes come from the library; the
+MOT record class is a copy of `io.MotRecord` as it was when a parsed record
+carried its `(path, line)` source.
 
 At the end, the writers as they were before they were written in bulk:
 `_fmt`, `MotRecord.render` (as a function of the record), `write_mot_file`
@@ -31,16 +32,32 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from sartrack.assoc import TrackerConfig
 from sartrack.core import COORD_MAX, BBox, Detection, TrajectorySet
-from sartrack.io import MotRecord, ParseError
+from sartrack.io import ParseError
 from sartrack.lfa import Proposal
 from sartrack.motion import Affine2x3
 from sartrack.synthsim import PerturbConfig, ScenarioConfig
+
+
+@dataclass(frozen=True, slots=True)
+class MotRecord:
+    frame: int
+    track_id: int
+    x: float
+    y: float
+    w: float
+    h: float
+    conf: float
+    class_id: int
+    visibility: float
+    motion_awareness: float | None = None
+    # (path, line number) of a parsed record, so later checks can name it.
+    source: tuple[str, int] | None = field(default=None, compare=False, repr=False)
 
 
 def parse_mot_file(path) -> list[MotRecord]:

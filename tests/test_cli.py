@@ -521,9 +521,11 @@ def test_track_repeated_sidecar_key_names_file_and_line(capsys, tmp_path, flag, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["1 2", "7 0"])
+@pytest.mark.parametrize("key", ["1 2", "7 0", "4 2", f"{2**63} 0", f"{2**64} 0", f"1 {2**63}",
+                                 f"1 {2**64}"])
 def test_track_embedding_naming_no_detection_is_data_error(capsys, tmp_path, key):
-    """Frame 1 has two detections (indices 0 and 1), and there is no frame 7."""
+    """Frames 1 to 6 have two detections each (indices 0 and 1): an index
+    equal to that count, a frame after the last, and keys beyond int64."""
     write_perfect_sequence(tmp_path)
     emb = tmp_path / "emb.txt"
     emb.write_text(f"1 0 1 0\n{key} 0 1\n")
@@ -532,8 +534,27 @@ def test_track_embedding_naming_no_detection_is_data_error(capsys, tmp_path, key
                        "--emb", str(emb), "--out", str(out))
     assert code == 2
     f, i = key.split()
-    assert f"{emb}: frame {f} index {i} names no detection in {tmp_path / 'det.txt'}" in err
+    assert err == (f"sartrack: error: {emb}: frame {f} index {i} names no detection in "
+                   f"{tmp_path / 'det.txt'}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key,code", [("3 0", 2), (f"{2**63} 0", 2), (f"{2**64 + 1} 0", 2),
+                                      (f"{2**64} 1", 2), (f"{2**64} 0", 0)])
+def test_track_embedding_keys_around_a_gap_and_a_frame_beyond_int64(capsys, tmp_path, key, code):
+    """det.txt holds frames 2, 5 and 2**64: a frame between two of them, one
+    after the last, or an index past the last frame's detection names no
+    detection; the last frame's own detection takes its embedding."""
+    det, emb, out = tmp_path / "det.txt", tmp_path / "emb.txt", tmp_path / "res.txt"
+    det.write_text(f"2,-1,10,10,8,8,0.9,0,-1\n5,-1,10,10,8,8,0.9,0,-1\n"
+                   f"{2**64},-1,10,10,8,8,0.9,0,-1\n")
+    emb.write_text(f"2 0 1 0\n{key} 0 1\n")
+    got, _, err = run(capsys, "track", "--det", str(det), "--emb", str(emb), "--out", str(out))
+    assert got == code
+    f, i = key.split()
+    assert err == ("" if code == 0 else
+                   f"sartrack: error: {emb}: frame {f} index {i} names no detection in {det}\n")
+    assert out.exists() == (code == 0)
 
 
 def test_render_non_numeric_frame_name_is_data_error(capsys, tmp_path):

@@ -9,7 +9,6 @@ import pytest
 
 import sartrack
 from metrics_reference import iou as scalar_iou
-from sartrack import io as sio
 from sartrack.core import BBox, Detection, TrajectorySet, as_xywh, iou, iou_of
 
 
@@ -132,29 +131,24 @@ def test_detection_validation():
     assert np.linalg.norm(d.embedding) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("shape,order", [((30,), "C"), ((5, 6), "C"), ((5, 6), "F")])
-def test_detection_norm_check_reports_the_linalg_norm(shape, order):
+@pytest.mark.parametrize("step", [1, 2, 5])
+def test_detection_norm_check_reports_the_linalg_norm(step):
+    """On C-contiguous (step 1) and strided 1-D embeddings alike."""
     rng = np.random.default_rng(5)
     for _ in range(100):
-        emb = np.asarray(rng.normal(size=shape) * 2.0, order=order)
+        emb = (rng.normal(size=30 * step) * 2.0)[::step]
         with pytest.raises(ValueError) as exc:
             Detection(frame=1, bbox=BBox(0, 0, 1, 1), score=0.5, embedding=emb)
         assert str(exc.value).endswith(f"got norm {float(np.linalg.norm(emb))}")
 
 
-@pytest.mark.parametrize("emb", [np.array(1.0), np.array([[0.6, 0.8]])])
-def test_embedding_must_be_one_dimensional(emb, tmp_path):
-    """A unit-norm embedding of another shape fails as a Detection and at
-    its record's line, not later in the tracker or the grouping."""
+@pytest.mark.parametrize("emb", [np.array(1.0), np.array([[0.6, 0.8]]), np.ones((2, 3))])
+def test_embedding_must_be_one_dimensional(emb):
+    """An embedding of another shape fails as a Detection, before its norm
+    is checked, not later in the tracker."""
     msg = f"embedding must be 1-D, got shape {emb.shape}"
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         Detection(frame=1, bbox=BBox(0, 0, 1, 1), score=0.5, embedding=emb)
-    path = tmp_path / "det.txt"
-    path.write_text("1,-1,10,10,8,8,0.9,0,-1\n1,-1,30,10,8,8,0.9,0,-1\n")
-    records = sio.parse_mot_file(path)
-    for vecs in ({(1, 1): emb}, {(1, 0): np.array([1.0, 0.0]), (1, 1): emb}):
-        with pytest.raises(sio.ParseError, match=r":2: embedding must be 1-D, got shape"):
-            sio.records_to_detections(records, vecs)
 
 
 def test_trajectory_set_invariants():

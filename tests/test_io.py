@@ -18,24 +18,25 @@ from sartrack.io import (MotRecord, ParseError, _fmt, id_color, load_config,
 def test_parse_basic_nine_column(tmp_path):
     p = tmp_path / "det.txt"
     p.write_text("1,-1,10,20,30,40,0.9,1,-1\n")
-    [r] = parse_mot_file(p)
-    assert r.frame == 1 and r.track_id == -1
-    assert (r.x, r.y, r.w, r.h) == (10, 20, 30, 40)
-    assert r.conf == 0.9 and r.class_id == 1
-    assert r.motion_awareness is None
+    t = parse_mot_file(p)
+    assert len(t) == 1 and (t.path, t.line_nos) == (p, [1])
+    assert t.frame.tolist() == [1] and t.track_id.tolist() == [-1]
+    assert t.boxes.tolist() == [[10, 20, 30, 40]]
+    assert t.conf.tolist() == [0.9] and t.class_id.tolist() == [1]
+    assert t.visibility.tolist() == [-1] and math.isnan(t.ma[0])
 
 
 def test_parse_ten_column(tmp_path):
     p = tmp_path / "det.txt"
     p.write_text("1,-1,10,20,30,40,0.9,1,-1,0.7\n")
-    [r] = parse_mot_file(p)
-    assert r.motion_awareness == 0.7
+    assert parse_mot_file(p).ma.tolist() == [0.7]
 
 
 def test_parse_empty_file(tmp_path):
     p = tmp_path / "empty.txt"
     p.write_text("")
-    assert parse_mot_file(p) == []
+    t = parse_mot_file(p)
+    assert len(t) == 0 and t.boxes.shape == (0, 4)
 
 
 @pytest.mark.parametrize("line,fragment", [
@@ -70,8 +71,7 @@ def test_parse_rejects_malformed(tmp_path, line, fragment):
 def test_parse_accepts_coordinates_at_the_bound(tmp_path):
     p = tmp_path / "det.txt"
     p.write_text("1,-1,-1e9,1e9,1e9,1e9,0.9,0,-1\n")
-    [r] = parse_mot_file(p)
-    assert (r.x, r.y, r.w, r.h) == (-1e9, 1e9, 1e9, 1e9)
+    assert parse_mot_file(p).boxes.tolist() == [[-1e9, 1e9, 1e9, 1e9]]
 
 
 def test_write_single_track_line(tmp_path):
@@ -121,7 +121,9 @@ def test_record_round_trip_random():
 def test_records_to_detections_groups_and_embeds(tmp_path):
     p = tmp_path / "det.txt"
     p.write_text("2,-1,10,20,5,5,0.9,1,-1\n1,-1,1,1,5,5,0.8,0,-1\n1,-1,9,9,5,5,0.7,0,-1\n")
-    dets = records_to_detections(parse_mot_file(p), {(1, 1): np.array([1.0, 0.0])})
+    e = tmp_path / "emb.txt"
+    e.write_text("1 1 2 0\n")
+    dets = records_to_detections(parse_mot_file(p), parse_embeddings(e))
     assert sorted(dets) == [1, 2]
     assert len(dets[1]) == 2
     assert dets[1][0].embedding is None
@@ -130,10 +132,10 @@ def test_records_to_detections_groups_and_embeds(tmp_path):
 
 def test_parse_embeddings(tmp_path):
     p = tmp_path / "emb.txt"
-    p.write_text("1 0 3 4\n2 1 0 1\n")
+    p.write_text("2 1 0 1\n1 0 3 4\n")
     emb = parse_embeddings(p)
-    np.testing.assert_allclose(emb[(1, 0)], [0.6, 0.8])
-    assert set(emb) == {(1, 0), (2, 1)}
+    assert (emb.frame.tolist(), emb.index.tolist(), emb.path) == ([2, 1], [1, 0], p)
+    np.testing.assert_allclose(emb.vecs, [[0, 1], [0.6, 0.8]])
 
 
 def _write_embeddings_reference(emb, path):
@@ -200,8 +202,8 @@ def test_write_embeddings_streams_its_lines(tmp_path):
     size = p.stat().st_size
     assert peak < size / 2, (peak, size)
     got = parse_embeddings(p)
-    assert set(got) == set(emb)
-    np.testing.assert_allclose(got[3, 7], emb[3, 7] / np.linalg.norm(emb[3, 7]))
+    assert list(zip(got.frame.tolist(), got.index.tolist())) == sorted(emb)
+    np.testing.assert_allclose(got.vecs[2 * 20 + 7], emb[3, 7] / np.linalg.norm(emb[3, 7]))
 
 
 def test_parse_embeddings_errors(tmp_path):

@@ -10,6 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import io_reference as ref
+import io_rows
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,8 +33,13 @@ FORMATS = {
 
 def _snapshot(out):
     """A parse result as plain data whose equality also sees float bits,
-    int types, key order and record sources."""
-    if isinstance(out, (list, sio.MotTable)):
+    int types, key order and record sources; io's columns go through the
+    io_rows adapters first."""
+    if isinstance(out, sio.MotTable):
+        out = io_rows.records(out)
+    elif isinstance(out, sio.Embeddings):
+        out = io_rows.embedding_dict(out)
+    if isinstance(out, list):
         return [repr(dataclasses.astuple(r)) for r in out]
     return [(repr(k), np.asarray(getattr(v, "m", v)).shape,
              np.asarray(getattr(v, "m", v)).tobytes()) for k, v in out.items()]
@@ -151,13 +157,13 @@ def test_pinned_files_agree_on_both_paths(kind, data, bulk):
 def test_pinned_plain_files_keep_sources_and_types(tmp_path):
     path = tmp_path / "det.txt"
     path.write_bytes(_lines("+3,-1,10,20,30,40,0.9,1,-1", "", "3.0,+2,1e1,20,30,40,.9,1.0,-1"))
-    [a, b] = sio.parse_mot_file(path)
-    assert (a.frame, a.track_id, b.frame, b.track_id, b.class_id) == (3, -1, 3, 2, 1)
-    assert all(type(v) is int for r in (a, b) for v in (r.frame, r.track_id, r.class_id))
-    assert (a.source, b.source) == ((path, 1), (path, 3))
+    t = sio.parse_mot_file(path)
+    cols = (t.frame.tolist(), t.track_id.tolist(), t.class_id.tolist())
+    assert cols == ([3, 3], [-1, 2], [1, 1])
+    assert all(type(v) is int for col in cols for v in col)
+    assert (t.path, t.line_nos) == (path, [1, 3])
     path.write_bytes(_lines(f"1,{2**53 + 1},10,20,30,40,0.9,1,-1"))
-    [r] = sio.parse_mot_file(path)
-    assert r.track_id == 2**53 + 1  # exact, from the per-line parser
+    assert sio.parse_mot_file(path).track_id.tolist() == [2**53 + 1]  # exact, per line
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.txt")), ids=lambda p: p.name)

@@ -7,6 +7,7 @@ import re
 import tempfile
 
 import io_reference as ref
+import io_rows
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,7 @@ def _both(text, new, old):
 @given(st.lists(_mot_line(), max_size=15).flatmap(_file))
 def test_mot_files_parse_as_before(text):
     new, old = _both(text, sio.parse_mot_file, ref.parse_mot_file)
+    new = io_rows.records(new)
     assert new == old
     assert all(type(v) is int for r in new for v in (r.frame, r.track_id, r.class_id))
 
@@ -169,6 +171,7 @@ def test_embedding_files_parse_as_before(text):
     if _rejects_first_repeat(text, 2, sio.parse_embeddings):
         return
     new, old = _both(text, sio.parse_embeddings, ref.parse_embeddings)
+    new = io_rows.embedding_dict(new)
     assert list(new) == list(old)
     assert all(np.array_equal(new[k], old[k]) and new[k].dtype == old[k].dtype for k in old)
 
