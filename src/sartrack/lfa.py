@@ -67,12 +67,14 @@ def neighborhood_pool(a_soft, center, radius: float) -> np.ndarray:
     The pixel nearest the center always participates, so the neighborhood is
     never empty even at radius 0. The disk test runs only inside the disk's
     bounding window, so the cost is bounded by the radius, not the map size;
-    an infinite radius pools the whole map.
+    an infinite radius pools the whole map. The disk's K pixels are gathered
+    one channel at a time through the 2-D mask into a (K, C) block, so the
+    peak is the mask, the block and one K-long gather.
     """
     a = np.asarray(a_soft, dtype=float)
     if a.ndim == 2:
         a = a[:, :, None]
-    h, w, _ = a.shape
+    h, w, c = a.shape
     cx, cy = float(center[0]), float(center[1])
     if not (0 <= cx < w and 0 <= cy < h):
         raise ValueError(f"center ({cx}, {cy}) outside {h}x{w} map")
@@ -85,10 +87,14 @@ def neighborhood_pool(a_soft, center, radius: float) -> np.ndarray:
     y1 = max(iy, math.ceil(min(cy + radius, h - 1.0))) + 1
     x0 = min(ix, math.floor(max(cx - radius, 0.0)))
     x1 = max(ix, math.ceil(min(cx + radius, w - 1.0))) + 1
-    ys, xs = np.ogrid[y0:y1, x0:x1]
+    ys, xs = np.arange(y0, y1)[:, None], np.arange(x0, x1)
     mask = (xs - cx) ** 2 + (ys - cy) ** 2 <= radius ** 2
     mask[iy - y0, ix - x0] = True
-    return a[y0:y1, x0:x1][mask].mean(axis=0)
+    win = a[y0:y1, x0:x1]
+    block = np.empty((np.count_nonzero(mask), c))
+    for k in range(c):
+        block[:, k] = win[:, :, k][mask]
+    return block.mean(axis=0)
 
 
 def enhance_proposal(p: Proposal, a_soft, cfg: LfaConfig) -> Proposal:

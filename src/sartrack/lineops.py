@@ -14,9 +14,10 @@ forward Radon map, larger than ``BIN_TABLE_MAX_BYTES`` (1 GiB) is rejected
 with a ``ValueError`` before anything is allocated. Built tables are cached
 up to the same total, and the least recently used ones are evicted first.
 Both transforms loop over angles within blocks of whole rows (``_BLOCK_PX``
-pixels), so at 512 x 512 an angle touches under 1 MB of cache instead of 6.5
-MB of whole-map planes. A pixel still sums its kept bins in angle order, and
-a rho bin its pixels in row-major order, both from +0.0: no bit changes.
+pixels, twice that in the forward), so at 512 x 512 an angle touches about 1
+MB of cache instead of 6.5 MB of whole-map planes. A pixel still sums its
+kept bins in angle order, and a rho bin its pixels in row-major order, both
+from +0.0: no bit changes.
 """
 from __future__ import annotations
 
@@ -127,9 +128,9 @@ def radon_forward(x, n_angles: int, n_rho: int) -> np.ndarray:
     # by the bins' running sums, then the block. It adds each bin's weights in
     # order from +0.0, and a sum from +0.0 is never -0.0, so 0.0 + sum is that
     # sum: each bin goes on with a whole-map call's row-major additions. Blocks
-    # of at least 4 * n_rho pixels bound the carried sums' cost, and the reused
-    # intp buffer saves bincount a cast on every call.
-    rows = max(1, min(h, max(_BLOCK_PX, 4 * n_rho) // max(w, 1)))
+    # of at least 4 * n_rho pixels bound the carried sums' cost; 2 * _BLOCK_PX
+    # holds 256 x 256 whole. The reused intp buffer saves bincount a cast.
+    rows = max(1, min(h, max(2 * _BLOCK_PX, 4 * n_rho) // max(w, 1)))
     idx = np.arange(n_rho + rows * w, dtype=np.intp)
     wts = np.empty((c, n_rho + rows * w))
     for r in range(0, h, rows):
@@ -188,9 +189,10 @@ def soft_normalize(a) -> np.ndarray:
     a = _as_hwc(a)
     h, w, c = a.shape
     flat = a.reshape(h * w, c)
-    flat = flat - flat.max(axis=0, keepdims=True)
-    e = np.exp(flat)
-    return (e / e.sum(axis=0, keepdims=True)).reshape(h, w, c)
+    e = flat - flat.max(axis=0, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=0, keepdims=True)
+    return e.reshape(h, w, c)
 
 
 def gated_fuse(x, a_soft) -> np.ndarray:
@@ -203,7 +205,9 @@ def gated_fuse(x, a_soft) -> np.ndarray:
     a_soft = _as_hwc(a_soft)
     if x.shape != a_soft.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {a_soft.shape}")
-    return 1.5 * x + 0.5 * a_soft
+    z = 1.5 * x
+    z += 0.5 * a_soft
+    return z
 
 
 def default_tau(y) -> np.ndarray:

@@ -6,6 +6,8 @@ follow the library.
   channels per angle.
 - ``radon_forward`` as it was when it made one whole-map ``np.bincount``
   call per angle and channel.
+- ``soft_normalize`` as it was when it allocated a new map for the
+  max-subtracted values, their ``exp`` and the quotient.
 - ``FusionParams``, ``gated_fuse``, ``TwoLayerMlp`` and ``enhance_proposal``
   as they were when the fusion gate and the pooling MLP held weights. The
   MLP used to sit on ``LfaConfig.mlp``; here it is an argument of
@@ -65,6 +67,16 @@ def radon_backproject(y, tau, h: int, w: int) -> np.ndarray:
     for a in range(n_angles):
         out += kept[a][bins[a]]
     return out
+
+
+def soft_normalize(a) -> np.ndarray:
+    """Per-channel spatial softmax (max-subtracted for stability)."""
+    a = _as_hwc(a)
+    h, w, c = a.shape
+    flat = a.reshape(h * w, c)
+    flat = flat - flat.max(axis=0, keepdims=True)
+    e = np.exp(flat)
+    return (e / e.sum(axis=0, keepdims=True)).reshape(h, w, c)
 
 
 def neighborhood_pool(a_soft, center, radius: float) -> np.ndarray:

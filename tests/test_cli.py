@@ -607,10 +607,9 @@ def _run_python(*args):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_no_subcommand_loads_scipy_optimize(tmp_path):
-    """Every subcommand, track and eval included, runs without importing
-    scipy.optimize, which costs SciPy's import time and memory; the
-    assignment solver comes from its own extension module."""
+def _modules_after_every_subcommand(tmp_path, *modules):
+    """Run every subcommand in one fresh interpreter and say, per module name,
+    whether it was imported."""
     script = f"""
 import sys
 import numpy as np
@@ -633,11 +632,25 @@ for argv in (["lineops", "--in", d + "/in.pgm", "--out", d + "/lo"],
               "--cmc", d + "/scene/cmc.txt", "--out", d + "/res.txt"],
              ["eval", "--gt", d + "/scene/gt.txt", "--res", d + "/res.txt", "--tsv"]):
     assert main(argv) == 0, argv
-print("scipy.optimize" in sys.modules)
+print([m in sys.modules for m in {list(modules)!r}])
 """
     done = _run_python("-c", script)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip().splitlines()[-1] == "False"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_no_subcommand_loads_scipy_optimize(tmp_path):
+    """Every subcommand, track and eval included, runs without importing
+    scipy.optimize, which costs SciPy's import time and memory; the
+    assignment solver comes from its own extension module."""
+    assert _modules_after_every_subcommand(tmp_path, "scipy.optimize") == "[False]"
+
+
+def test_no_subcommand_loads_numpy_ma(tmp_path):
+    """numpy 2's np.unique imports numpy.ma, about 1.6 MB of peak RSS, unless
+    it is asked for return_inverse; every np.unique in sartrack passes it,
+    so synth, track, eval, lineops, lfa-demo and render never load it."""
+    assert _modules_after_every_subcommand(tmp_path, "numpy.ma") == "[False]"
 
 
 @pytest.mark.parametrize("case, value, message", [

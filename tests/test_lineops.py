@@ -248,6 +248,30 @@ def test_soft_normalize_peak():
     assert a.sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("shape", [(7, 5), (7, 5, 1), (6, 4, 3)])
+def test_softmax_and_fusion_leave_read_only_inputs_unwritten(shape):
+    rng = np.random.default_rng(22)
+    x, a = rng.standard_normal(shape), rng.random(shape)
+    x_bytes, a_bytes = x.tobytes(), a.tobytes()
+    x.flags.writeable = a.flags.writeable = False
+    s, z = soft_normalize(x), gated_fuse(x, a)
+    assert x.tobytes() == x_bytes and a.tobytes() == a_bytes
+    assert not np.shares_memory(s, x) and not np.shares_memory(z, x)
+    assert not np.shares_memory(z, a)
+
+
+def test_soft_normalize_allocates_only_its_output():
+    """exp and the division run in place in the one max-subtracted map."""
+    x = np.random.default_rng(23).standard_normal((256, 256, 2))
+    tracemalloc.start()
+    try:
+        out = soft_normalize(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 256 * 1024
+
+
 def test_gated_fuse_zero_params():
     """The fusion is the zero-weight gate: both gates sigmoid(0) = 0.5."""
     rng = np.random.default_rng(2)

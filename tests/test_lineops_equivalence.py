@@ -193,6 +193,16 @@ def test_gated_fuse_equals_zero_weight_reference(h, w, c, fill_x, fill_a, seed):
                           ref.gated_fuse(x, a, ref.FusionParams.zeros(c)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3), _FILL, _SEED,
+       st.booleans())
+def test_soft_normalize_equals_out_of_place_reference(h, w, c, fill, seed, two_d):
+    a = _values(np.random.default_rng(seed), (h, w, c), fill)
+    if two_d:
+        a = a[:, :, 0]
+    assert _bitwise_equal(lineops.soft_normalize(a), ref.soft_normalize(a))
+
+
 @st.composite
 def _enhance_case(draw):
     h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
