@@ -64,7 +64,7 @@ def hungarian(cost, max_cost: float) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-total-cost one-to-one assignment as (rows, cols) index arrays
     in row order; pairs costing more than max_cost are left out."""
     cost = np.atleast_2d(np.asarray(cost, dtype=float))
-    if not np.all(np.isfinite(cost)):
+    if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite values")
     rows, cols = linear_sum_assignment(cost)
     ok = cost[rows, cols] <= max_cost
@@ -200,17 +200,20 @@ class Tracker:
 
         matched = np.zeros(len(self.ids), dtype=bool)
         pairs = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0, dtype=bool),)]
+        # With one class among the detections and the live rows, no pair is forbidden.
+        one_cls = d_cls.size and (d_cls == d_cls[0]).all() and (self.cls == d_cls[0]).all()
 
         def assign(rows, dj, cost, max_cost, gates=None):
             """Match pool rows to detections dj; returns those left unmatched."""
-            cross = self.cls[rows][:, None] != d_cls[dj]
-            if cross.any():
+            if not one_cls and (cross := self.cls[rows][:, None] != d_cls[dj]).any():
                 cost[cross] = FORBIDDEN_COST
             ti, tj = hungarian(cost, max_cost)
             pairs.append((rows[ti], dj[tj],
                           np.ones(len(ti), dtype=bool) if gates is None else gates[ti, tj]))
             matched[rows[ti]] = True
-            return np.delete(dj, tj)
+            left = np.ones(len(dj), dtype=bool)
+            left[tj] = False
+            return dj[left]
 
         # Stage 1: confirmed + lost tracks vs high-score detections. With no look
         # there, or at tau_v = 0, the blend would be the IoU cost and take no look.
@@ -238,7 +241,8 @@ class Tracker:
             rest_high = assign(tent, rest_high, iou_cost(pred_boxes[tent], boxes[rest_high]),
                                cfg.match_thresh_stage1)
 
-        rows, dj, gates = map(np.concatenate, zip(*pairs))
+        # One stage's matches are used as they are; several are joined.
+        rows, dj, gates = pairs[1] if len(pairs) == 2 else map(np.concatenate, zip(*pairs))
         if rows.size:
             self._update_tracks(rows, boxes[dj], d_ma[dj], d_emb[dj], d_has[dj] & ~gates)
 
@@ -260,6 +264,8 @@ class Tracker:
         self._log.append((frame, ids, boxes[dj]))
         conf = state[rows] == _CONF
         emitted = list(zip(ids[conf].tolist(), block.bboxes(dj[conf])))
+        if matched.all():
+            return emitted
 
         # Age out every row left unmatched: TENTATIVE and LOST past max_age
         # are removed, CONFIRMED becomes LOST.

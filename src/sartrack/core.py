@@ -211,7 +211,7 @@ class DetectionBlock(Sequence):
     def bboxes(self, idx) -> list[BBox]:
         """The boxes of the detections at ``idx``."""
         if self._dets is not None:
-            return [self._dets[j].bbox for j in idx]
+            return [self._dets[j].bbox for j in idx.tolist()]
         return to_bboxes(self.boxes[idx])
 
     def embeddings(self, dim: int) -> np.ndarray:

@@ -242,9 +242,11 @@ def lffm(x, n_angles: int | None = None, n_rho: int | None = None,
                              "exceeds the float range; pass tau")
     with np.errstate(over="ignore"):
         raw = radon_backproject(y, tau, h, w)
+    del y  # neither map is needed past its own stage
     if not np.isfinite(raw).all():
         raise ValueError("back-projection overflows: a pixel's sum of kept bins "
                          "exceeds the float range")
     a_soft = soft_normalize(raw)
+    del raw
     z = gated_fuse(x, a_soft)
     return z, a_soft

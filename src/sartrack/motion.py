@@ -68,17 +68,21 @@ _R_FIXED = np.array([0.0, 0.0, 1e-1, 0.0])
 
 def boxes_to_measurements(boxes: np.ndarray) -> np.ndarray:
     """(N, 4) x, y, w, h boxes -> (N, 4) cx, cy, a, h measurements."""
-    x, y, w, h = boxes.T
-    return np.stack([x + w / 2.0, y + h / 2.0, w / h, h], axis=1)
+    z = np.empty((len(boxes), 4))
+    np.add(boxes[:, :2], boxes[:, 2:] / 2.0, out=z[:, :2])
+    np.divide(boxes[:, 2], boxes[:, 3], out=z[:, 2])
+    z[:, 3] = boxes[:, 3]
+    return z
 
 
 def means_to_boxes(mean: np.ndarray) -> np.ndarray:
     """(N, 8) means -> (N, 4) x, y, w, h boxes, with the aspect ratio and
     height clamped positive."""
-    a = np.maximum(mean[:, 2], 1e-6)
-    h = np.maximum(mean[:, 3], 1e-6)
-    w = a * h
-    return np.stack([mean[:, 0] - w / 2.0, mean[:, 1] - h / 2.0, w, h], axis=1)
+    b = np.empty((len(mean), 4))
+    wh = np.maximum(mean[:, 2:4], 1e-6, out=b[:, 2:])  # a, h; then w = a * h
+    np.multiply(wh[:, 0], wh[:, 1], out=wh[:, 0])
+    np.subtract(mean[:, :2], wh / 2.0, out=b[:, :2])
+    return b
 
 
 def cov_to_dense(cov: np.ndarray) -> np.ndarray:
@@ -88,10 +92,12 @@ def cov_to_dense(cov: np.ndarray) -> np.ndarray:
     return dense
 
 
-def _symmetric_rows(c: np.ndarray) -> np.ndarray:
+def _symmetric_rows(c: np.ndarray, coupled: bool) -> np.ndarray:
     """0.5 * (C + C.T) of (2, 2, 6, N) covariances, as (N, 2, 2, 6). The
-    kernels work on such copies: a few loops over N, not N short ones."""
-    c += c.swapaxes(0, 1)[:, :, _TRANSPOSED]
+    kernels work on such copies: a few loops over N, not N short ones.
+    Unless `coupled`, planes 4 and 5 must hold +0.0 only: the transpose's
+    swap of those two planes then changes no bit, so it is skipped."""
+    c += c.swapaxes(0, 1)[:, :, _TRANSPOSED] if coupled else c.swapaxes(0, 1).copy()
     c *= 0.5
     return c.transpose(3, 0, 1, 2).copy()
 
@@ -116,7 +122,8 @@ def kf_predict(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarra
     c[:, 0] += c[:, 1]
     var = (mean[:, 3] * _Q_W[:, None] + _Q_FIXED[:, None]) ** 2
     c.reshape(4, 6, -1)[::3, :4] += var.reshape(2, 4, -1)
-    return mean @ _F.T, _symmetric_rows(c)
+    # Any set bit in planes 4 and 5, -0.0 and NaN too, takes the gather.
+    return mean @ _F.T, _symmetric_rows(c, c[:, :, 4:].view(np.int64).any())
 
 
 def kf_update(mean: np.ndarray, cov: np.ndarray,
@@ -148,7 +155,7 @@ def kf_update(mean: np.ndarray, cov: np.ndarray,
     out = np.zeros_like(c)
     np.multiply(1.0 - gain[0], c[0, :, :4], out=out[0, :, :4])
     np.subtract(c[1, :, :4], gain[1] * c[0, :, :4], out=out[1, :, :4])
-    return mean + (gain * (z - mean[:, :4]).T).reshape(8, -1).T, _symmetric_rows(out)
+    return mean + (gain * (z - mean[:, :4]).T).reshape(8, -1).T, _symmetric_rows(out, False)
 
 
 def apply_cmc(mean: np.ndarray, cov: np.ndarray,

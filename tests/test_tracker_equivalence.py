@@ -1,6 +1,9 @@
 """The stacked Kalman filter and the table-backed Tracker against the frozen
 per-track implementation in tracker_reference.py."""
+import sys
+from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import tracker_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sartrack import synthsim
+from sartrack import assoc, synthsim
 from sartrack.assoc import Tracker, TrackerConfig
 from sartrack.core import BBox, Detection
 from sartrack.motion import (_COL, _ROW, Affine2x3, apply_cmc, cov_to_dense, kf_init,
@@ -297,3 +300,83 @@ def test_tracker_equals_reference_on_a_scene_of_every_look_pattern(tau_v):
         first_looks += len(lookless & set(tracker.ids[tracker.has_emb].tolist()))
     assert (first_looks > 0) == (tau_v > 0)
     _assert_trackers_agree(dets, cmc, cfg, True)
+
+
+def _returned_locals(run):
+    """Call `run()`; returns (name, locals) of each `Tracker.step` and nested
+    `assign` frame of sartrack.assoc as it returned, in order, with a copy
+    of the tracker's class column then as "cls"."""
+    seen = []
+
+    def at_return(frame, event, arg):
+        if event == "return":
+            v = dict(frame.f_locals)
+            seen.append((frame.f_code.co_name, {**v, "cls": v["self"].cls.copy()}))
+        return at_return
+
+    def at_call(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename == assoc.__file__ and code.co_name in ("step", "assign"):
+            return at_return
+        return None
+
+    outer = sys.gettrace()
+    sys.settrace(at_call)
+    try:
+        run()
+    finally:
+        sys.settrace(outer)
+    return seen
+
+
+def _paths(seen):
+    """Count the fast paths of `Tracker.step` and their fallbacks that the
+    traced frames took, checking each against the state that chose it."""
+    paths = Counter()
+    for name, v in seen:
+        if name == "assign":
+            if "cross" in v:
+                paths["class mask, pairs forbidden"] += bool(v["cross"].any())
+                paths["class mask, one-class detections"] += len(set(v["d_cls"].tolist())) == 1
+            else:  # skipped only when the detections and live rows share one class
+                paths["one class, no mask"] += 1
+                assert len({*v["d_cls"].tolist(), *v["cls"].tolist()}) == 1
+            continue
+        pairs, matched, gates = v["pairs"], v["matched"], v["gates"]
+        assert ("idle" in v) == (not matched.all())
+        paths["idle rows aged" if "idle" in v else
+              "all rows matched, no aging" if len(matched) else "no row"] += 1
+        stages = len(pairs) - 1  # pairs[0] is the empty triple
+        assert any(gates is p[2] for p in pairs) == (stages == 1)
+        paths[("no stage", "one stage as it is")[stages] if stages < 2 else "stages joined"] += 1
+        if not len(v["block"]):
+            paths["empty frame, live rows" if len(matched) else "empty frame, no rows"] += 1
+    return paths
+
+
+def test_tracker_fast_paths_and_fallbacks_equal_reference():
+    """One-class and mixed-class frames, one-class frames with live rows of
+    another class, frames where every live row matched and frames with idle
+    rows, one matching stage and several, and empty frames with and without
+    live rows: each is taken, seen in the traced locals of `step` and
+    `assign`, and equal to the reference."""
+    scenes = []
+    for seed, n_classes in ((5, 1), (6, 3)):
+        dets, cmc = _scene(np.random.default_rng(seed), 6, 30, n_classes, 4, True, True)
+        for f in (1, 12, 13, 20):
+            dets[f] = []
+        scenes.append((dets, cmc))
+    # Each frame has one class, but the class switches under a live track.
+    switch = {f: [Detection(f, BBox(10.0 + f, 10.0, 8.0, 8.0), 0.9, int(f > 3), None, None)]
+              for f in range(1, 8)}
+    scenes.append((switch, dict.fromkeys(switch)))
+    paths = Counter()
+    for dets, cmc in scenes:
+        for cfg in (TrackerConfig(), TrackerConfig(n_init=1, max_age=1)):
+            paths += _paths(_returned_locals(partial(_assert_trackers_agree, dets, cmc, cfg,
+                                                     True)))
+    for path in ("class mask, pairs forbidden", "class mask, one-class detections",
+                 "one class, no mask", "all rows matched, no aging", "idle rows aged",
+                 "one stage as it is", "stages joined", "empty frame, live rows",
+                 "empty frame, no rows"):
+        assert paths[path] > 0, path
