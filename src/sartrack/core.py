@@ -9,8 +9,9 @@ import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, groupby
-from operator import attrgetter, itemgetter
+from contextlib import suppress
+from itertools import chain, compress, groupby, repeat
+from operator import attrgetter, is_not, itemgetter
 
 import numpy as np
 
@@ -46,6 +47,7 @@ class BBox:
 
 
 _XYWH = attrgetter("x", "y", "w", "h")
+_DTYPE, _FLOAT = attrgetter("dtype"), np.dtype(float)
 
 
 def as_xywh(boxes) -> np.ndarray:
@@ -70,7 +72,7 @@ def to_bboxes(boxes: np.ndarray) -> list[BBox]:
     checked once for all rows, and each box is then filled in through its
     slots without running the check again (about four times faster)."""
     _check_sides(boxes)
-    out = [object.__new__(BBox) for _ in range(len(boxes))]
+    out = list(map(object.__new__, repeat(BBox, len(boxes))))
     for fill, col in zip(_FILL_XYWH, boxes.T.tolist()):
         deque(map(fill, out, col), maxlen=0)
     return out
@@ -143,14 +145,95 @@ class Detection:
         if self.motion_awareness is not None and not 0.0 <= self.motion_awareness <= 1.0:
             raise ValueError(f"motion_awareness must be in [0,1], got {self.motion_awareness}")
         if self.embedding is not None:
-            emb = np.asarray(self.embedding, dtype=float)
-            if emb.ndim != 1:
-                raise ValueError(f"embedding must be 1-D, got shape {emb.shape}")
-            flat = np.ascontiguousarray(emb)  # a strided dot sums in another order
-            n = math.sqrt(flat.dot(flat))  # np.linalg.norm(emb), bit for bit
-            if abs(n - 1.0) > 1e-6:
-                raise ValueError(f"embedding must be unit norm, got norm {n}")
-            object.__setattr__(self, "embedding", emb)
+            object.__setattr__(self, "embedding", _as_embedding(self.embedding))
+
+
+def _as_embedding(emb) -> np.ndarray:
+    """``emb`` as a Detection keeps it, a 1-D float array of unit norm (the
+    same object if it is one already), or the error saying why it is not."""
+    emb = np.asarray(emb, dtype=float)
+    if emb.ndim != 1:
+        raise ValueError(f"embedding must be 1-D, got shape {emb.shape}")
+    flat = np.ascontiguousarray(emb)  # a strided dot sums in another order
+    n = math.sqrt(flat.dot(flat))  # np.linalg.norm(emb), bit for bit
+    if abs(n - 1.0) > 1e-6:
+        raise ValueError(f"embedding must be unit norm, got norm {n}")
+    return emb
+
+
+def _embeddings_ok(frame: np.ndarray, embeddings: list) -> np.ndarray:
+    """Whether each of ``embeddings`` passes Detection's check (None does).
+    One that is not a float64 array is replaced by the array a Detection
+    would keep. Each run of equal frames is stacked alone, so no more than
+    one frame's vectors are copied at a time."""
+    ok = np.ones(len(embeddings), dtype=bool)
+    has = list(map(is_not, embeddings, repeat(None)))
+    bounds = np.flatnonzero(run_starts(frame)).tolist() + [len(frame)]
+    for a, b in zip(bounds, bounds[1:]):
+        rows = list(compress(range(a, b), has[a:b]))
+        vecs = list(map(embeddings.__getitem__, rows))
+        if not vecs:
+            continue
+        # A ragged list does not stack, and only 1-D rows of one length stack to 2-D.
+        stack = None
+        if set(map(type, vecs)) == {np.ndarray} and set(map(_DTYPE, vecs)) == {_FLOAT}:
+            with suppress(ValueError):
+                stack = np.array(vecs)
+        if stack is not None and stack.ndim == 2:
+            # row_norms is the constructor's norm bit for bit; NaN passes there too.
+            ok[rows] = ~(np.abs(row_norms(stack) - 1.0) > 1e-6)
+            continue
+        for i, v in zip(rows, vecs):
+            try:
+                embeddings[i] = _as_embedding(v)
+            except ValueError:
+                ok[i] = False
+    return ok
+
+
+_FILL_DETECTION = tuple(Detection.__dict__[k].__set__ for k in (
+    "frame", "bbox", "score", "class_id", "motion_awareness", "embedding"))
+
+
+def to_detections(frame, boxes, score, class_id, ma, embeddings) -> list[Detection]:
+    """Detections from columns, equal to ``Detection(f, BBox(x, y, w, h), s,
+    c, m, e)`` built row by row: ``frame`` and ``class_id`` ints, ``boxes``
+    (N, 4) of (x, y, w, h), ``score``, ``ma`` (motion awareness, NaN for
+    None) and ``embeddings`` (arrays or None). Both constructors' checks run
+    once as masks, and the first bad row raises its own constructor's error.
+    Each Detection is then filled through its slots: a column given as a
+    list gives its own objects, as the constructor keeps them, and each
+    embedding array is held itself. Embedding norms are checked one run of
+    equal frames at a time, so list each frame's rows together."""
+    given = [col if isinstance(col, list) else None for col in (frame, score, class_id, ma)]
+    frame, class_id = int_column(frame), int_column(class_id)
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    score, ma = np.asarray(score, dtype=float), np.asarray(ma, dtype=float)
+    embeddings = list(embeddings)
+    if not len(frame) == len(boxes) == len(score) == len(class_id) == len(ma) == len(embeddings):
+        raise ValueError(f"columns of {len(frame)}, {len(boxes)}, {len(score)}, "
+                         f"{len(class_id)}, {len(ma)} and {len(embeddings)} rows")
+    ok = _embeddings_ok(frame, embeddings)
+    ok &= (boxes[:, 2] > 0) & (boxes[:, 3] > 0) & (score >= 0) & (score <= 1)
+    absent = np.isnan(ma)
+    ok &= absent | (ma >= 0) & (ma <= 1)
+    ok &= np.asarray(frame >= 1, dtype=bool)
+    # An int64 class id is below 2**63; an object column holds one beyond int64.
+    ok &= (class_id >= 0 if class_id.dtype != object else
+           np.array([0 <= c < 2**63 for c in class_id.tolist()], dtype=bool))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        Detection(int(frame[i]), BBox(*boxes[i].tolist()), score[i].item(), int(class_id[i]),
+                  None if absent[i] else ma[i].item(), embeddings[i])
+    frame, score, class_id, ma = (g if g is not None else col.tolist()
+                                  for g, col in zip(given, (frame, score, class_id, ma)))
+    if absent.any():
+        ma = [None if a else m for a, m in zip(absent.tolist(), ma)]
+    out = list(map(object.__new__, repeat(Detection, len(score))))
+    for fill, col in zip(_FILL_DETECTION,
+                         (frame, to_bboxes(boxes), score, class_id, ma, embeddings)):
+        deque(map(fill, out, col), maxlen=0)
+    return out
 
 
 def embedding_dim_error(frame, index, dim, expected) -> ValueError:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import COORD_MAX, BBox, Detection, TrajectorySet
+from .core import COORD_MAX, Detection, TrajectorySet, to_detections
 from .lfa import normalize_velocities
 from .lineops import BIN_TABLE_MAX_BYTES
 
@@ -225,14 +225,20 @@ def generate_scene(cfg: ScenarioConfig) -> Scene:
         sizes.append((w, h))
         classes[i + 1] = int(rng_t.integers(0, len(CLASS_NAMES)))
         dx, dy, moving = math.cos(ang), math.sin(ang), True
-        for f in range(frames):
-            if f:
-                if cfg.p_toggle > 0 and rng.random() < cfg.p_toggle:
-                    moving = not moving
-                if moving:
-                    x, dx = _reflect(x + speed * dx, dx, w / 2, cfg.width - w / 2)
-                    y, dy = _reflect(y + speed * dy, dy, h / 2, cfg.height - h / 2)
-            cx[i, f], cy[i, f], speed_now[i, f] = x, y, speed if moving else 0.0
+        # One draw per frame after the first, the stream of one call each.
+        toggles = ((rng.random(frames - 1) < cfg.p_toggle).tolist() if cfg.p_toggle > 0
+                   else [False] * (frames - 1))
+        xs, ys, vs = [x], [y], [speed]
+        for toggle in toggles:
+            if toggle:
+                moving = not moving
+            if moving:
+                x, dx = _reflect(x + speed * dx, dx, w / 2, cfg.width - w / 2)
+                y, dy = _reflect(y + speed * dy, dy, h / 2, cfg.height - h / 2)
+            xs.append(x)
+            ys.append(y)
+            vs.append(speed if moving else 0.0)
+        cx[i], cy[i], speed_now[i] = xs, ys, vs
 
     occluded = np.zeros((cfg.height, cfg.width), dtype=bool)
     for _ in range(cfg.n_static_occluders):
@@ -248,7 +254,8 @@ def generate_scene(cfg: ScenarioConfig) -> Scene:
     # Distance moved since the previous frame, 0 on the first. math.hypot per
     # element: np.hypot can differ from it in the last bit.
     moved = np.zeros((n, frames))
-    moved[:, 1:] = np.vectorize(math.hypot, otypes=[float])(np.diff(cx), np.diff(cy))
+    moved[:, 1:] = np.reshape(list(map(math.hypot, np.diff(cx).ravel().tolist(),
+                                       np.diff(cy).ravel().tolist())), (n, frames - 1))
     velocities = dict(zip(keys, normalize_velocities(moved).ravel().tolist())) if n else {}
     # A target moving faster than the flip speed shows the next target's look.
     looks = list(np.eye(max(2, n)))
@@ -259,13 +266,37 @@ def generate_scene(cfg: ScenarioConfig) -> Scene:
     return Scene(frames_out, gt, embeddings, velocities, (cfg.width, cfg.height), classes)
 
 
+def _log_jitter(sides: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """exp(log(side) + noise) per element through math's log and exp (numpy's
+    can differ in the last bit). An exponent above 709 stops at exp(709),
+    a side far beyond any box bound, instead of overflowing."""
+    logs = np.fromiter(map(math.log, memoryview(sides)), float, len(sides)) + noise
+    return np.fromiter(map(math.exp, memoryview(np.minimum(logs, 709.0))), float, len(sides))
+
+
+def _jitter(boxes: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+    """(x, y, w, h) rows with their centres (BBox.cx's x + w / 2.0) moved by
+    noise columns 0 and 1 and their log sides by columns 2 and 3."""
+    x, y, w, h = boxes.T
+    cx, cy = x + w / 2.0, y + h / 2.0
+    if noise is not None:
+        cx += noise[:, 0]
+        cy += noise[:, 1]
+        w, h = _log_jitter(w, noise[:, 2]), _log_jitter(h, noise[:, 3])
+    return np.stack([cx - w / 2, cy - h / 2, w, h], axis=1)
+
+
 def perturb_detections(scene: Scene, cfg: PerturbConfig) -> dict[int, list[Detection]]:
     """Detector surrogate: drop, jitter, and clutter the ground truth.
 
     Every frame of the scene gets its kept targets, then Poisson(lambda_fp)
     clutter boxes. Matched detections carry the (possibly flipped) embedding
     and the normalized ground-truth velocity as motion awareness; clutter
-    carries a random embedding and motion awareness 0.
+    carries a random embedding and motion awareness 0. The draws come frame
+    by frame in that order and fill columns; the target boxes are jittered
+    as columns, and `to_detections` builds every Detection at the end. A
+    jittered box with a zero side or a coordinate beyond COORD_MAX px is a
+    ValueError naming its frame.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     width, height = scene.canvas
@@ -274,31 +305,56 @@ def perturb_detections(scene: Scene, cfg: PerturbConfig) -> dict[int, list[Detec
     if boxes * (CELL_BYTES + CLUTTER_VALUE_BYTES * dim) > BIN_TABLE_MAX_BYTES:
         raise ValueError(f"lambda_fp * frames = {boxes:g} clutter boxes would hold more "
                          f"than {BIN_TABLE_MAX_BYTES} bytes")
-    out: dict[int, list[Detection]] = {}
-    by_frame = scene.gt.boxes_by_frame()
-    for f in range(1, len(scene.frames) + 1):
-        rows = []  # centre x, centre y, w, h, score, class, motion awareness, embedding
-        for tid, b in by_frame.get(f, ()):
+    n_frames, sigma = len(scene.frames), cfg.jitter_sigma
+    order = np.argsort(scene.gt.frame, kind="stable")
+    # Frame f's ground truth is order[bounds[f - 1]:bounds[f]].
+    bounds = np.searchsorted(scene.gt.frame[order], np.arange(1, n_frames + 2)).tolist()
+    tids = scene.gt.ids[order].tolist()
+    # Per ground-truth row: whether it is kept, and its jitter of centre x,
+    # centre y, log w and log h.
+    kept = np.zeros(len(order), dtype=bool)
+    noise = np.zeros((len(order) if sigma > 0 else 0, 4))
+    # Per detection, in draw order: each frame's kept targets, then its clutter.
+    score, classes, ma, looks = [], [], [], []
+    clutter, counts = [], []  # clutter boxes; per frame, kept targets and clutter boxes
+    for f in range(1, n_frames + 1):
+        start = len(score)
+        for r in range(bounds[f - 1], bounds[f]):
             if rng.random() < cfg.p_fn:
                 continue
-            cx, cy = b.center()
-            w, h = b.w, b.h
-            if cfg.jitter_sigma > 0:
-                cx += rng.normal(0, cfg.jitter_sigma)
-                cy += rng.normal(0, cfg.jitter_sigma)
-                w = math.exp(math.log(w) + rng.normal(0, cfg.jitter_sigma))
-                h = math.exp(math.log(h) + rng.normal(0, cfg.jitter_sigma))
-            rows.append((cx, cy, w, h, float(rng.uniform(0.6, 1.0)), scene.classes[tid],
-                         scene.velocities[(tid, f)], scene.embeddings[(tid, f)]))
-        for _ in range(int(rng.poisson(cfg.lambda_fp))):
+            kept[r] = True
+            if sigma > 0:
+                noise[r] = rng.normal(0, sigma, 4)
+            tid = tids[r]
+            score.append(rng.uniform(0.6, 1.0))
+            classes.append(scene.classes[tid])
+            ma.append(scene.velocities[tid, f])
+            looks.append(scene.embeddings[tid, f])
+        counts += (len(score) - start, int(rng.poisson(cfg.lambda_fp)))
+        for _ in range(counts[-1]):
             w = rng.uniform(cfg.clutter_size_min, cfg.clutter_size_max)
             h = rng.uniform(cfg.clutter_size_min, cfg.clutter_size_max)
             cx = rng.uniform(w / 2, width - w / 2)
             cy = rng.uniform(h / 2, height - h / 2)
             vec = rng.normal(size=dim)
             vec /= np.linalg.norm(vec)
-            rows.append((cx, cy, w, h, float(rng.uniform(0.1, 0.7)),
-                         int(rng.integers(0, len(CLASS_NAMES))), 0.0, vec))
-        out[f] = [Detection(f, BBox(cx - w / 2, cy - h / 2, w, h), *rest)
-                  for cx, cy, w, h, *rest in rows]
-    return out
+            clutter.append((cx - w / 2, cy - h / 2, w, h))
+            score.append(rng.uniform(0.1, 0.7))
+            classes.append(int(rng.integers(0, len(CLASS_NAMES))))
+            ma.append(0.0)
+            looks.append(vec)
+
+    per_frame = np.reshape(counts, (n_frames, 2)).sum(axis=1)
+    frame = np.repeat(np.arange(1, n_frames + 1), per_frame)
+    target = np.repeat(np.tile([True, False], n_frames), counts)
+    xywh = np.empty((len(score), 4))
+    xywh[target] = _jitter(scene.gt.boxes[order[kept]], noise[kept] if sigma > 0 else None)
+    xywh[~target] = np.reshape(clutter, (-1, 4))
+    # io would refuse to read back a side of 0 or a coordinate beyond COORD_MAX.
+    ok = ~target | (xywh[:, 2] > 0) & (xywh[:, 3] > 0) & (np.abs(xywh).max(axis=1) <= COORD_MAX)
+    if sigma > 0 and not ok.all():
+        raise ValueError(f"frame {frame[np.argmin(ok)]}: jitter_sigma = {sigma} draws "
+                         f"a box with a zero side or a coordinate beyond {COORD_MAX:.0f} px")
+    dets = to_detections(frame, xywh, score, classes, ma, looks)
+    ends = np.cumsum(per_frame).tolist()
+    return dict(zip(range(1, n_frames + 1), map(dets.__getitem__, map(slice, [0] + ends, ends))))

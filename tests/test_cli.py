@@ -347,6 +347,20 @@ def test_synth_beyond_the_memory_budget_is_data_error(capsys, tmp_path, text, fi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", ["30", "1e300"])
+def test_synth_jitter_beyond_the_box_bound_is_data_error(capsys, tmp_path, sigma):
+    """A jitter that draws a box io could not read back (a coordinate beyond
+    1e9 px, a zero side) stops synth before a file is written; so does one
+    beyond math.exp's range, which used to end in an OverflowError."""
+    cfg = tmp_path / "scenario.txt"
+    cfg.write_text(f"jitter_sigma = {sigma}\n")
+    out = tmp_path / "scene"
+    code, _, err = run(capsys, "synth", "--config", str(cfg), "--out-dir", str(out))
+    assert code == 2
+    assert f"jitter_sigma = {float(sigma)} draws a box" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_synth_clutter_without_targets(capsys, tmp_path):
     """Clutter falls on every frame, also in a scene with no targets. At 20
     boxes a frame, a frame without any has odds of e**-20."""

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import inspect
+import math
 import pkgutil
 import re
 
@@ -9,7 +10,7 @@ import pytest
 
 import sartrack
 from metrics_reference import iou as scalar_iou
-from sartrack.core import BBox, Detection, TrajectorySet, as_xywh, iou, iou_of
+from sartrack.core import BBox, Detection, TrajectorySet, as_xywh, iou, iou_of, to_detections
 
 
 def iou1(a, b):
@@ -149,6 +150,94 @@ def test_embedding_must_be_one_dimensional(emb):
     msg = f"embedding must be 1-D, got shape {emb.shape}"
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         Detection(frame=1, bbox=BBox(0, 0, 1, 1), score=0.5, embedding=emb)
+
+
+def _columns():
+    """Five valid rows over frames 1, 1, 1, 2, 4: frame 1 mixes 3- and
+    2-wide embeddings, and the last row has neither an embedding nor a
+    motion awareness (NaN)."""
+    rng = np.random.default_rng(0)
+    emb = [v / np.linalg.norm(v) for v in rng.normal(size=(4, 3))]
+    emb[2] = np.array([0.6, 0.8])
+    return {"frame": [1, 1, 1, 2, 4],
+            "boxes": np.array([[0, 0, 2, 3], [1.5, -2, 4, 1], [3, 3, 1, 1], [-1e9, 0, 1e-300, 2],
+                               [0, 1, 2, 2]]),
+            "score": [0.5, 1.0, 0.0, 0.25, 0.9], "class_id": [0, 3, 1, 2**63 - 1, 2],
+            "ma": [0.25, 1.0, 0.0, 0.5, math.nan], "embeddings": emb + [None]}
+
+
+def _row(cols, i) -> Detection:
+    """Row i of the columns, built by the constructors."""
+    ma = cols["ma"][i]
+    return Detection(cols["frame"][i], BBox(*np.asarray(cols["boxes"][i]).tolist()),
+                     cols["score"][i], cols["class_id"][i], None if math.isnan(ma) else ma,
+                     cols["embeddings"][i])
+
+
+def _fields(d: Detection) -> tuple:
+    b = d.bbox
+    return tuple((type(v), v) for v in (d.frame, b.x, b.y, b.w, b.h, d.score, d.class_id,
+                                        d.motion_awareness))
+
+
+def test_to_detections_equals_the_constructors():
+    """Each Detection equals the one its constructors build, type and value,
+    and holds the very embedding array it was given; a column given as a
+    list gives its own objects, as a constructor keeps them."""
+    cols = _columns()
+    got = to_detections(**cols)
+    assert len(got) == 5
+    for i, d in enumerate(got):
+        assert _fields(d) == _fields(_row(cols, i)), i
+        assert d.embedding is cols["embeddings"][i], i
+        assert d.score is cols["score"][i], i
+    assert all(d.motion_awareness is m for d, m in zip(got[:4], cols["ma"]))
+    assert to_detections([], np.empty((0, 4)), [], [], [], []) == []
+
+
+def test_to_detections_keeps_the_constructors_embedding_conversion():
+    """An embedding that is not a float64 array becomes the array the
+    constructor keeps."""
+    cols = _columns()
+    cols["embeddings"][0] = [0.6, 0.8]
+    cols["embeddings"][3] = np.array([0, 1])
+    got = to_detections(**cols)
+    for i in (0, 3):
+        want = _row(cols, i).embedding
+        assert (got[i].embedding.dtype, got[i].embedding.tolist()) == (want.dtype, want.tolist())
+    assert cols["embeddings"][0] == [0.6, 0.8]  # the caller's list is left as it was
+
+
+@pytest.mark.parametrize("field,value", [
+    ("score", math.nan), ("score", -0.1), ("score", 1.5),
+    ("class_id", 2**63), ("class_id", -1),
+    ("ma", 1.5),
+    ("embeddings", np.ones((2, 2)) / 2), ("embeddings", np.array([3.0, 4.0])),
+    ("embeddings", np.array([0.0, 2.0, 0.0])),
+    ("boxes", [0, 0, 0, 1]), ("boxes", [0, 0, math.nan, 1]), ("boxes", [0, 0, 1, -2]),
+    ("frame", 0),
+], ids=["score-nan", "score-low", "score-high", "class-2**63", "class-negative", "ma",
+        "emb-2d", "emb-ragged-norm", "emb-norm", "side-zero", "side-nan", "side-negative",
+        "frame"])
+def test_to_detections_raises_the_constructors_error_at_the_first_bad_row(field, value):
+    """One bad field gives the exact text its constructor raises, though a
+    later row is bad too: in row 1, whose frame mixes embedding widths, and
+    in row 3, alone in its frame."""
+    for row in (1, 3):
+        cols = _columns()
+        cols["score"][4] = 2.0
+        cols[field][row] = value
+        with pytest.raises(ValueError) as want:
+            _row(cols, row)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            to_detections(**cols)
+
+
+def test_to_detections_rejects_columns_of_unequal_length():
+    cols = _columns()
+    cols["score"].pop()
+    with pytest.raises(ValueError, match="columns of 5, 5, 4, 5, 5 and 5 rows"):
+        to_detections(**cols)
 
 
 def test_trajectory_set_invariants():

@@ -8,6 +8,7 @@ import pytest
 import synthsim_reference as ref
 
 from sartrack import synthsim
+from sartrack.core import COORD_MAX
 from sartrack.io import load_config
 from sartrack.synthsim import (PerturbConfig, ScenarioConfig, SHADOW_VALUE,
                                STREAK_VALUE, _draw_segment, _paint_streaks, generate_scene,
@@ -386,3 +387,25 @@ def test_perturb_bounds_the_expected_clutter(lambda_fp):
     scene = generate_scene(ScenarioConfig(seed=4, frames=2, n_moving=1))
     with pytest.raises(ValueError, match=re.escape(f"lambda_fp * frames = {2 * lambda_fp:g}")):
         perturb_detections(scene, PerturbConfig(lambda_fp=lambda_fp))
+
+
+@pytest.mark.parametrize("sigma", [30.0, 1e300])
+def test_perturb_refuses_a_jittered_box_beyond_the_io_bound(sigma):
+    """A jittered box with a zero side or a coordinate beyond COORD_MAX px,
+    which io would refuse to read back, is a ValueError naming the first
+    such frame (the frozen version's); an exponent beyond math.exp's range
+    is one too, not an OverflowError."""
+    scene = generate_scene(ScenarioConfig(seed=1))
+    pert = PerturbConfig(seed=2, jitter_sigma=sigma)
+    if sigma == 30.0:
+        dets = ref.perturb_detections(scene, pert)
+        first = min(f for f, ds in dets.items() for d in ds
+                    if max(abs(d.bbox.x), abs(d.bbox.y), d.bbox.w, d.bbox.h) > COORD_MAX)
+    else:
+        with pytest.raises(OverflowError):
+            ref.perturb_detections(scene, pert)
+        first = 1
+    msg = (f"frame {first}: jitter_sigma = {sigma} draws a box with a zero side or a "
+           f"coordinate beyond 1000000000 px")
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        perturb_detections(scene, pert)

@@ -36,6 +36,14 @@ def _config(draw):
         p_toggle=draw(st.one_of(st.sampled_from([0.0, 0.3, 1.0]), st.floats(0.0, 1.0))))
 
 
+def _bits(d):
+    """A Detection's fields, each with its type, and every float by its bits,
+    so -0.0 is not 0.0."""
+    b = d.bbox
+    return (d.frame, type(d.frame), d.class_id, type(d.class_id),
+            *((type(v), float.hex(v)) for v in (b.x, b.y, b.w, b.h, d.score, d.motion_awareness)))
+
+
 def _assert_scenes_equal(got, want):
     assert len(got.frames) == len(want.frames)
     for a, b in zip(got.frames, want.frames):
@@ -69,6 +77,9 @@ def _assert_scenes_equal(got, want):
 # Moving targets without streaks.
 @example(ScenarioConfig(seed=11, frames=6, n_moving=8, width=48, height=48, speed_max=20.0,
                         size_min=4.0, size_max=12.0, streak_gain=0.0))
+# Every target toggles on its one later frame; on a single frame none draws a toggle.
+@example(ScenarioConfig(seed=12, frames=2, n_moving=4, p_toggle=1.0))
+@example(ScenarioConfig(seed=13, frames=1, n_moving=4, p_toggle=0.5))
 def test_generate_scene_matches_frozen_reference(cfg):
     _assert_scenes_equal(generate_scene(cfg), ref.generate_scene(cfg))
 
@@ -96,6 +107,9 @@ def _scene_and_perturbation(draw):
 @example((ScenarioConfig(seed=2, frames=10, n_moving=1), PerturbConfig(seed=0, lambda_fp=3.0)))
 @example((ScenarioConfig(seed=3, frames=20, n_moving=5),
           PerturbConfig(seed=1, jitter_sigma=0.2, p_fn=0.3, lambda_fp=2.0)))
+# Sides up to about e**9 times their own, centres moved by up to 9 px.
+@example((ScenarioConfig(seed=4, frames=10, n_moving=5),
+          PerturbConfig(seed=2, jitter_sigma=3.0, lambda_fp=1.0)))
 def test_perturb_detections_matches_frozen_reference(case):
     cfg, pert = case
     scene = generate_scene(cfg)
@@ -104,7 +118,6 @@ def test_perturb_detections_matches_frozen_reference(case):
     for f, dets in want.items():
         assert len(got[f]) == len(dets), f
         for a, b in zip(got[f], dets):
-            assert (a.frame, a.bbox, a.score, a.class_id, a.motion_awareness) == \
-                (b.frame, b.bbox, b.score, b.class_id, b.motion_awareness), f
+            assert _bits(a) == _bits(b), f
             ea, eb = a.embedding, b.embedding
             assert (ea.shape, ea.dtype, ea.tobytes()) == (eb.shape, eb.dtype, eb.tobytes()), f
